@@ -1030,6 +1030,8 @@ class _Scheduler:
             cache_key=task.cache_key,
         ))
         self.tracer.counter("sweep.failed_cells")
+        obs.inc("repro_cells_total", 1, circuit=task.name,
+                outcome="failed")
         self._journal_event("task_aborted", task,
                             cancelled=self.cancelled)
 

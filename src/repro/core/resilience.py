@@ -30,15 +30,14 @@ process or cache boundary.
 
 from __future__ import annotations
 
-import json
-import os
 import pickle
 import time
 import traceback
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+
+from repro.jsonl import JsonlLog, read_jsonl
 
 
 # ----------------------------------------------------------------------
@@ -290,15 +289,16 @@ class SweepReport:
 # ----------------------------------------------------------------------
 # Crash-safe sweep journal
 # ----------------------------------------------------------------------
-class SweepJournal:
+class SweepJournal(JsonlLog):
     """Append-only JSONL record of a sweep's task lifecycle.
 
-    One JSON object per line; every write is flushed and fsync'd, so a
-    killed process leaves at worst one torn trailing line (which
-    :func:`read_journal` ignores).  Events carry the cell's
-    content-hash ``key`` — the same key the result cache uses — so a
-    ``--resume`` run maps journal history onto the new task plan even
-    though it is a different process.
+    One JSON object per line, written through
+    :class:`~repro.jsonl.JsonlLog` (fsync'd per event, torn tail
+    isolated on resume), so a killed process leaves at worst one torn
+    trailing line (which :func:`read_journal` skips).  Events carry the
+    cell's content-hash ``key`` — the same key the result cache uses —
+    so a ``--resume`` run maps journal history onto the new task plan
+    even though it is a different process.
 
     Event vocabulary (the ``event`` field):
 
@@ -323,37 +323,9 @@ class SweepJournal:
     """
 
     def __init__(self, path, resume: bool = False):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        mode = "a" if resume else "w"
-        self._handle = open(self.path, mode, encoding="utf-8")
-        if resume:
-            self._isolate_torn_tail()
+        super().__init__(path, truncate=not resume)
 
-    def _isolate_torn_tail(self) -> None:
-        """On resume, terminate a torn trailing line before appending.
-
-        A ``kill -9`` mid-write leaves the journal without a final
-        newline; appending straight after it would glue the first new
-        event onto the torn half-line, losing *both* to the reader.
-        Writing one newline first confines the damage to exactly the
-        torn frame (which :func:`parse_journal_stats` counts and
-        skips).
-        """
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                if handle.tell() == 0:
-                    return
-                handle.seek(-1, os.SEEK_END)
-                last = handle.read(1)
-        except OSError:  # pragma: no cover - unreadable journal
-            return
-        if last != b"\n":
-            self._handle.write("\n")
-            self._handle.flush()
-
-    def record(self, event: str, **data: Any) -> None:  # lint: durable
+    def record(self, event: str, **data: Any) -> None:
         """Append one event line; durable before return.
 
         Every event carries both clocks: ``ts`` (wall, for humans and
@@ -361,88 +333,17 @@ class SweepJournal:
         readers computing latencies or ordering merged worker traces
         are immune to NTP steps).
         """
-        payload = {"event": event, "ts": time.time(),
-                   "ts_mono": time.monotonic(), **data}
-        self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
-        self._handle.flush()
-        try:
-            os.fsync(self._handle.fileno())
-        except OSError:  # pragma: no cover - exotic filesystems
-            pass
-
-    def close(self) -> None:
-        """Close the underlying file (idempotent)."""
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def parse_journal_stats(lines: Iterable[str]
-                        ) -> Tuple[List[Dict[str, Any]], int]:
-    """Parse journal lines, skipping (and counting) torn frames.
-
-    A malformed line is *skipped*, not fatal: on a straight crash the
-    tear is the trailing line, but a resumed journal appends valid
-    events *after* a torn frame, and stopping at the tear would
-    discard the entire resumed history.  Non-object frames (a bare
-    JSON number, say) count as torn too — an event is always a JSON
-    object.  Returns ``(events, torn_lines)``; a non-zero count is
-    evidence of a crash (expected after ``kill -9``) or real
-    corruption, and the sweep service surfaces it in ``/metrics``.
-    """
-    events: List[Dict[str, Any]] = []
-    torn = 0
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            torn += 1
-            continue
-        if not isinstance(event, dict):
-            torn += 1
-            continue
-        events.append(event)
-    return events, torn
-
-
-def parse_journal_lines(lines: Iterable[str]) -> List[Dict[str, Any]]:
-    """Parse journal lines; torn frames are skipped (see
-    :func:`parse_journal_stats`, the counting variant).  This is the
-    one journal decoder: the sweep service's progress endpoint and
-    ``--resume`` both read through it, so a truncated frame can only
-    ever surface as "cell still in progress", never as a crash.
-    """
-    return parse_journal_stats(lines)[0]
-
-
-def read_journal_stats(path) -> Tuple[List[Dict[str, Any]], int]:
-    """Parse a journal file; returns ``(events, torn_lines)``.
-
-    Returns ``([], 0)`` when the file does not exist; otherwise defers
-    to :func:`parse_journal_stats`.
-    """
-    path = Path(path)
-    if not path.exists():
-        return [], 0
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_journal_stats(handle)
+        self.append({"event": event, "ts": time.time(),
+                     "ts_mono": time.monotonic(), **data})
 
 
 def read_journal(path) -> List[Dict[str, Any]]:
-    """Parse a journal file; torn lines (crash damage) are tolerated.
+    """A journal file's events; torn lines (crash damage) are skipped.
 
-    Returns an empty list when the file does not exist; otherwise
-    defers to :func:`parse_journal_stats`, dropping the torn count.
+    A missing file reads as an empty list.  Callers that need the torn
+    count use :func:`repro.jsonl.read_jsonl` directly.
     """
-    return read_journal_stats(path)[0]
+    return read_jsonl(path)[0]
 
 
 def completed_keys(events: Iterable[Dict[str, Any]]) -> Set[str]:

@@ -12,9 +12,10 @@ class the concurrency/resource packs exist to catch:
 * ``block-async`` — a ``time.sleep`` lands at the top of the server's
   ``async def _respond`` handler (stalls the event loop for every
   connected client);
-* ``drop-fsync`` — the ``os.fsync`` in the job store's
-  ``record_transition`` disappears (breaks the §14 flush+fsync
-  durability contract the store's recovery semantics rely on).
+* ``drop-fsync`` — the ``os.fsync`` in ``JsonlLog.append`` (the one
+  durable writer under the sweep journal and the job store) disappears
+  (breaks the §14 flush+fsync durability contract their recovery
+  semantics rely on).
 
 Each check fails loudly unless the expected rule fires on the mutated
 copy.  Run as ``python -m repro.lint.mutation`` (CI) or through the
@@ -71,8 +72,8 @@ def _block_async(text: str) -> str:
 
 
 def _drop_fsync(text: str) -> str:
-    """Replace ``record_transition``'s ``os.fsync`` with ``pass``."""
-    anchor = text.index("def record_transition(")
+    """Replace ``append``'s ``os.fsync`` with ``pass``."""
+    anchor = text.index("def append(")
     site = text.index("os.fsync(", anchor)
     line_start = text.rindex("\n", 0, site) + 1
     line_end = text.index("\n", site)
@@ -101,10 +102,10 @@ MUTATIONS: Tuple[Mutation, ...] = (
     ),
     Mutation(
         name="drop-fsync",
-        path="service/store.py",
+        path="jsonl.py",
         expect_rule="RES004",
-        description="JobStore.record_transition flushes but never "
-                    "fsyncs (breaks the durability contract)",
+        description="JsonlLog.append flushes but never fsyncs "
+                    "(breaks the durability contract)",
         apply=_drop_fsync,
     ),
 )

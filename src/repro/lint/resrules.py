@@ -23,7 +23,7 @@ any normal return in a non-clean state is an error.  Exceptional edges are not
 followed here: ``try: os.fsync(...) except OSError: pass`` is the
 accepted best-effort idiom and must not trip the rule.
 
-Rules: ``RES001`` file/socket/journal/store leak (error), ``RES002``
+Rules: ``RES001`` file/socket/log/journal/store leak (error), ``RES002``
 pool without shutdown (error), ``RES003`` closed on the normal path
 but leaking on the exception path (warning), ``RES004`` durable
 function returning before flush+fsync (error).
@@ -70,6 +70,7 @@ OPENERS: Dict[str, str] = {
     "ThreadPoolExecutor": "pool",
     "concurrent.futures.ProcessPoolExecutor": "pool",
     "concurrent.futures.ThreadPoolExecutor": "pool",
+    "JsonlLog": "log",
     "SweepJournal": "journal",
     "JobStore": "store",
 }
@@ -78,7 +79,7 @@ OPENERS: Dict[str, str] = {
 CLOSERS = ("close", "shutdown", "terminate")
 
 #: Kinds RES001 covers (RES002 takes pools).
-_RES001_KINDS = ("file", "socket", "journal", "store")
+_RES001_KINDS = ("file", "socket", "log", "journal", "store")
 
 #: Durability ranks: 0 clean/durable, 1 written-unflushed, 2
 #: flushed-unsynced.

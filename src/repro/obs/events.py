@@ -42,6 +42,8 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
+from repro.jsonl import read_jsonl
+
 LEVELS = ("debug", "info", "warn", "error")
 _LEVEL_RANK = {name: i for i, name in enumerate(LEVELS)}
 
@@ -247,15 +249,5 @@ def emit(event: str, level: str = "info", **fields: Any) -> None:
 
 
 def read_events(path: str) -> List[Dict[str, Any]]:
-    """Parse a JSONL event file, skipping torn/partial trailing lines."""
-    out: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-    return out
+    """Parse a JSONL event file, skipping torn/partial lines."""
+    return read_jsonl(path)[0]

@@ -63,12 +63,13 @@ import time
 import uuid
 from collections import deque
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.chaos import plan_from_env
 from repro.core.executor import ExecutorConfig, run_sweeps_report
-from repro.core.resilience import SweepReport, read_journal_stats
+from repro.core.resilience import SweepReport
+from repro.jsonl import read_jsonl
 from repro.service.protocol import (
     JOB_CANCELLED,
     JOB_DONE,
@@ -85,6 +86,27 @@ from repro.service.protocol import (
     report_to_wire,
 )
 from repro.service.store import JobStore
+
+#: Every counter of the JSON ``/metrics`` payload and the registry
+#: series it reads: the sum over ``family``'s series whose ``label``
+#: takes one of ``values`` (every series when ``label`` is None).
+JSON_COUNTERS: Dict[str, Tuple[str, Optional[str], Tuple[str, ...]]] = {
+    **{f"jobs_{event}": ("repro_jobs_total", "event", (event,))
+       for event in ("submitted", "completed", "failed", "cancelled",
+                     "coalesced", "recovered", "interrupted", "rejected",
+                     "expired")},
+    "cells_done": ("repro_cells_total", "outcome", ("ok", "cached")),
+    "cells_failed": ("repro_cells_total", "outcome", ("failed",)),
+    "retries": ("repro_task_retries_total", None, ()),
+    "timeouts": ("repro_task_timeouts_total", None, ()),
+    "worker_crashes": ("repro_worker_crashes_total", None, ()),
+    "cache_hits": ("repro_cache_events_total", "event", ("hit",)),
+    "cache_misses": ("repro_cache_events_total", "event", ("miss",)),
+    "cache_evictions": ("repro_cache_events_total", "event", ("evict",)),
+    "cache_write_failures": ("repro_cache_write_failures_total", None, ()),
+    "journal_torn_lines": ("repro_journal_torn_lines_total", None, ()),
+    "store_torn_lines": ("repro_store_torn_lines_total", None, ()),
+}
 
 
 class UnknownJobError(KeyError):
@@ -258,28 +280,6 @@ class JobManager:
         #: Torn-line high-water mark per job journal, so the torn
         #: counter advances by deltas across repeated status polls.
         self._journal_torn: Dict[str, int] = {}  # lint: shared-under=_lock
-        self._counters: Dict[str, int] = {  # lint: shared-under=_lock
-            "jobs_submitted": 0,
-            "jobs_completed": 0,
-            "jobs_failed": 0,
-            "jobs_cancelled": 0,
-            "jobs_coalesced": 0,
-            "jobs_recovered": 0,
-            "jobs_interrupted": 0,
-            "jobs_rejected": 0,
-            "jobs_expired": 0,
-            "cells_done": 0,
-            "cells_failed": 0,
-            "retries": 0,
-            "timeouts": 0,
-            "worker_crashes": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "cache_evictions": 0,
-            "cache_write_failures": 0,
-            "journal_torn_lines": 0,
-            "store_torn_lines": 0,
-        }
         # Re-adopt whatever a previous daemon left in the durable job
         # store *before* opening it for append and starting workers:
         # terminal jobs come back report-and-all, interrupted ones are
@@ -331,20 +331,17 @@ class JobManager:
                             # A torn report line: the job stays done,
                             # the payload is gone.  /result says so.
                             pass
-                    self._counters["jobs_recovered"] += 1
                 else:
                     job.state = JOB_INTERRUPTED
                     job.resume = True
-                    self._counters["jobs_interrupted"] += 1
                     resumable.append(job)
                 self._jobs[job.id] = job
                 self._order.append(job.id)
-            self._counters["store_torn_lines"] += replay.torn_lines
-            recovered = self._counters["jobs_recovered"]
         if replay.records or replay.torn_lines:
             self.registry.inc("repro_store_torn_lines_total",
                               replay.torn_lines)
-            self.registry.inc("repro_jobs_total", recovered,
+            self.registry.inc("repro_jobs_total",
+                              len(replay.records) - len(resumable),
                               event="recovered")
             self.registry.inc("repro_jobs_total", len(resumable),
                               event="interrupted")
@@ -362,8 +359,9 @@ class JobManager:
         carries HELP/TYPE lines and kind conflicts fail at startup."""
         d = self.registry.describe
         d("repro_jobs_total", "counter",
-          "Job lifecycle transitions by event "
-          "(submitted/coalesced/completed/failed/cancelled).")
+          "Job lifecycle transitions by event (submitted/coalesced/"
+          "completed/failed/cancelled/expired/rejected/recovered/"
+          "interrupted).")
         d("repro_job_seconds", "histogram",
           "Wall seconds a job spent executing (monotonic clock).")
         d("repro_job_queue_wait_seconds", "histogram",
@@ -374,7 +372,8 @@ class JobManager:
           "End-to-end wall seconds per sweep cell.")
         d("repro_cells_total", "counter",
           "Sweep cells finished, by circuit and outcome "
-          "(ok/failed/cached).")
+          "(ok/failed/cached; failed includes cells an abort kept "
+          "from running).")
         d("repro_task_retries_total", "counter",
           "Cell attempts that failed and were retried.")
         d("repro_task_timeouts_total", "counter",
@@ -460,14 +459,12 @@ class JobManager:
         journal = self.journal_dir / f"{job_id}.jsonl"
         with self._lock:
             if self._draining:
-                self._counters["jobs_rejected"] += 1
                 self.registry.inc("repro_jobs_total", 1,
                                   event="rejected")
                 raise ServiceDrainingError(self._retry_after_locked())
             pending = self._queue.qsize()
             if self.max_pending is not None \
                     and pending >= self.max_pending:
-                self._counters["jobs_rejected"] += 1
                 self.registry.inc("repro_jobs_total", 1,
                                   event="rejected")
                 raise QueueFullError(pending, self.max_pending,
@@ -483,11 +480,7 @@ class JobManager:
                        coalesced_with=twin.id if twin else None)
             self._jobs[job_id] = job
             self._order.append(job_id)
-            self._counters["jobs_submitted"] += 1
-            if twin is not None:
-                self._counters["jobs_coalesced"] += 1
             self.store.record_transition(job.record())
-        obs.counter("service.jobs_submitted")
         self.registry.inc("repro_jobs_total", 1, event="submitted")
         if job.coalesced_with:
             self.registry.inc("repro_jobs_total", 1, event="coalesced")
@@ -524,13 +517,12 @@ class JobManager:
         """
         with self._lock:
             job = self._get(job_id)
-        events, torn = read_journal_stats(job.journal)
+        events, torn = read_jsonl(job.journal)
         if torn:
             with self._lock:
                 delta = torn - self._journal_torn.get(job_id, 0)
                 if delta > 0:
                     self._journal_torn[job_id] = torn
-                    self._counters["journal_torn_lines"] += delta
                 else:
                     delta = 0
             if delta > 0:
@@ -557,7 +549,6 @@ class JobManager:
                 job.state = JOB_CANCELLED
                 job.finished_at = time.time()
                 job.finished_mono = time.monotonic()
-                self._counters["jobs_cancelled"] += 1
                 self.registry.inc("repro_jobs_total", 1,
                                   event="cancelled")
                 self.store.record_transition(job.record())
@@ -646,7 +637,8 @@ class JobManager:
                     job.state = JOB_CANCELLED
                     job.finished_at = time.time()
                     job.finished_mono = time.monotonic()
-                    self._counters["jobs_cancelled"] += 1
+                    self.registry.inc("repro_jobs_total", 1,
+                                      event="cancelled")
                     self.store.record_transition(job.record())
                 return
             if job.deadline_exceeded():
@@ -660,10 +652,9 @@ class JobManager:
                     "before the job started")
                 job.finished_at = time.time()
                 job.finished_mono = time.monotonic()
-                self._counters["jobs_cancelled"] += 1
-                self._counters["jobs_expired"] += 1
-                self.registry.inc("repro_jobs_total", 1,
-                                  event="expired")
+                # Counted like a mid-run expiry: expired *and* cancelled.
+                for event in ("expired", "cancelled"):
+                    self.registry.inc("repro_jobs_total", 1, event=event)
                 self.store.record_transition(job.record())
                 obs.emit("job_deadline_expired", "warn", job_id=job.id,
                          deadline_s=job.request.deadline_s)
@@ -673,7 +664,6 @@ class JobManager:
             job.started_mono = time.monotonic()
             self._running[job.id] = job
             self.store.record_transition(job.record())
-        obs.counter("service.jobs_started")
         queue_wait = job.started_mono - job.submitted_mono
         self.registry.observe("repro_job_queue_wait_seconds", queue_wait)
         run_from = job.tracer.now()
@@ -692,9 +682,7 @@ class JobManager:
                     job.state = JOB_FAILED
                     job.finished_at = time.time()
                     job.finished_mono = time.monotonic()
-                    self._counters["jobs_failed"] += 1
                     self.store.record_transition(job.record())
-                obs.counter("service.jobs_failed")
                 self.registry.inc("repro_jobs_total", 1, event="failed")
                 obs.emit("job_failed", "error", error=job.error)
                 self._finish_trace(job, None, run_from)
@@ -710,34 +698,22 @@ class JobManager:
                         job.error = (
                             f"deadline_s={job.request.deadline_s:g} "
                             "expired mid-run; the job was cancelled")
-                        self._counters["jobs_expired"] += 1
                         self.registry.inc("repro_jobs_total", 1,
                                           event="expired")
-                    self._counters["jobs_cancelled"] += 1
                 else:
                     job.state = JOB_DONE
-                    self._counters["jobs_completed"] += 1
                 self._durations.append(
                     job.finished_mono - job.started_mono)
-                self._counters["cells_done"] += report.successful_cells()
-                self._counters["cells_failed"] += len(report.failures)
-                self._counters["retries"] += report.retries
-                self._counters["timeouts"] += report.timeouts
-                self._counters["worker_crashes"] += report.worker_crashes
-                self._counters["cache_hits"] += report.cache_hits
-                self._counters["cache_misses"] += report.cache_misses
-                self._counters["cache_evictions"] += report.cache_evictions
-                self._counters["cache_write_failures"] += (
-                    report.cache_write_failures)
                 self.store.record_transition(
                     job.record(),
                     report=(report_to_wire(report)
                             if job.state == JOB_DONE else None))
             if report.cache_write_failures:
+                self.registry.inc("repro_cache_write_failures_total",
+                                  report.cache_write_failures)
                 self._enter_degraded_mode(
                     f"cache write failed during job {job.id} "
                     f"({report.cache_write_failures} failure(s))")
-            obs.counter("service.jobs_finished")
             self.registry.inc(
                 "repro_jobs_total", 1,
                 event=("cancelled" if job.state == JOB_CANCELLED
@@ -766,9 +742,7 @@ class JobManager:
                 return
             self._degraded = True
             self._degraded_reason = reason
-        self.registry.inc("repro_cache_write_failures_total", 1)
         self.registry.set("repro_degraded", 1)
-        obs.counter("service.degraded")
         obs.emit("service_degraded", "error", reason=reason)
 
     @property
@@ -868,10 +842,25 @@ class JobManager:
         return obs.merge_traces(obs.read_trace_file(trace_path))
 
     # -- observability ---------------------------------------------------
+    def _counter_value(self, family: str, label: Optional[str],
+                       values: Tuple[str, ...]) -> int:
+        """Sum of a registry counter family's matching series."""
+        fam = self.registry.get(family)
+        if fam is None:
+            return 0
+        return int(sum(inst.value for key, inst in list(fam.series.items())
+                       if label is None or dict(key).get(label) in values))
+
     def metrics(self) -> Dict[str, Any]:
-        """Counters and gauges for the ``/metrics`` endpoint."""
+        """Counters and gauges for the ``/metrics`` endpoint.
+
+        The counters are read from the metrics registry (see
+        :data:`JSON_COUNTERS`), so the JSON payload and the Prometheus
+        exposition can never disagree.
+        """
+        counters = {key: self._counter_value(*series)
+                    for key, series in JSON_COUNTERS.items()}
         with self._lock:
-            counters = dict(self._counters)
             running = len(self._running)
             draining = self._draining
             degraded = self._degraded

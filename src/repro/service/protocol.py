@@ -610,8 +610,8 @@ def progress_from_journal(events: Sequence[Mapping[str, Any]],
     crash (or mid-write read) a cell whose ``task_done`` did not land
     completely simply *stays* running/pending — progress can
     under-report, never crash or over-report.  Pass the reader's torn
-    count (:func:`repro.core.resilience.read_journal_stats`) as
-    ``torn_lines`` to surface crash damage instead of hiding it.
+    count (:func:`repro.jsonl.read_jsonl`) as ``torn_lines`` to
+    surface crash damage instead of hiding it.
 
     Returns a dict with ``total``/``done``/``failed``/``running``/
     ``pending`` counts, the per-cell list, ``finished`` (True once a

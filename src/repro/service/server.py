@@ -264,7 +264,6 @@ class SweepService:
                 return 400, {"error": "request body truncated"}, {}
         path, _, raw_query = target.partition("?")
         query = parse_qs(raw_query)
-        obs.counter("service.requests")
         t0 = time.monotonic()
         extra: Dict[str, str] = {}
         try:

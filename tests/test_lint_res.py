@@ -188,14 +188,14 @@ def test_res004_flags_missing_flush(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Seeded mutation against the real job store
+# Seeded mutation against the real durable log writer
 
 
 def test_drop_fsync_mutation_is_caught(tmp_path):
     by_name = {m.name: m for m in MUTATIONS}
     hits = check_mutation(default_source_root(), by_name["drop-fsync"],
                           tmp_path)
-    assert hits, "fsync removal in JobStore.record_transition escaped"
+    assert hits, "fsync removal in JsonlLog.append escaped"
     assert all(d.rule_id == "RES004" for d in hits)
 
 

@@ -21,7 +21,9 @@ The headline assertions are the service's two contracts:
 from __future__ import annotations
 
 import json
+import re
 import threading
+import time
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.service import (
     ServiceThread,
     SweepRequest,
 )
+from repro.service.jobs import JSON_COUNTERS
 from repro.service.protocol import canonical_result_bytes
 
 #: Cheap ATPG knobs, matching tests/test_executor.py's FAST_ATPG.
@@ -72,13 +75,81 @@ def test_healthz(client):
     assert payload["uptime_s"] >= 0
 
 
+#: The JSON ``/metrics`` key set; scripts and dashboards parse it.
+METRICS_KEYS = {
+    "jobs_submitted", "jobs_completed", "jobs_failed", "jobs_cancelled",
+    "jobs_coalesced", "jobs_recovered", "jobs_interrupted",
+    "jobs_rejected", "jobs_expired", "cells_done", "cells_failed",
+    "retries", "timeouts", "worker_crashes", "cache_hits",
+    "cache_misses", "cache_evictions", "cache_write_failures",
+    "journal_torn_lines", "store_torn_lines", "queue_depth",
+    "running_jobs", "job_workers", "worker_utilization",
+    "cache_hit_rate", "jobs_by_state", "max_pending", "draining",
+    "degraded", "degraded_reason", "uptime_s",
+}
+
+
 def test_metrics_shape(client):
     metrics = client.metrics()
-    for key in ("jobs_submitted", "jobs_completed", "queue_depth",
-                "running_jobs", "worker_utilization", "cache_hit_rate",
-                "cache_hits", "cache_misses", "cache_evictions",
-                "jobs_by_state"):
-        assert key in metrics, key
+    assert set(metrics) == METRICS_KEYS
+
+
+_PROM_SAMPLE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})? (\S+)$")
+_PROM_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+
+
+def prom_samples(text):
+    """``(name, labels, value)`` for every sample line of a scrape."""
+    samples = []
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        name, labels, value = _PROM_SAMPLE.match(line).groups()
+        samples.append((name, dict(_PROM_LABEL.findall(labels or "")),
+                        float(value)))
+    return samples
+
+
+def test_json_metrics_agree_with_prometheus(tmp_path):
+    """Every JSON counter is its registry series: script one of each
+    job outcome, then compare the two ``/metrics`` formats."""
+    config = ServiceConfig(port=0, cache_dir=str(tmp_path),
+                           job_workers=1, max_pending=2)
+    with ServiceThread(config) as thread:
+        client = ServiceClient(thread.base_url, timeout_s=10.0,
+                               retries=0)
+        blocker = submit(client, (0.8, 1.8))                  # completes
+        deadline = time.monotonic() + 120
+        while client.status(blocker.id)["state"] != "running":
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        twin = submit(client, (0.8, 1.8))                     # coalesced
+        doomed = submit(client, (2.8,), deadline_s=0.01)      # expires
+        with pytest.raises(ServiceError) as err:              # 429
+            submit(client, (3.8,))
+        assert err.value.status == 429
+        client.cancel(twin.id)                                # queued
+        assert client.wait(blocker.id, timeout_s=300)["state"] == "done"
+        assert client.wait(doomed.id, timeout_s=300)["state"] \
+            == "cancelled"
+
+        metrics = client.metrics()
+        samples = prom_samples(client.metrics_prom())
+
+    assert set(metrics) == METRICS_KEYS
+    for key, (family, label, values) in JSON_COUNTERS.items():
+        expected = sum(value for name, labels, value in samples
+                       if name == family
+                       and (label is None or labels.get(label) in values))
+        assert metrics[key] == expected, key
+    assert metrics["jobs_submitted"] == 3
+    assert metrics["jobs_coalesced"] == 1
+    assert metrics["jobs_rejected"] == 1
+    assert metrics["jobs_cancelled"] == 2     # the twin and the expiry
+    assert metrics["jobs_expired"] == 1
+    assert metrics["jobs_completed"] == 1
+    assert metrics["cells_done"] == 2
+    assert metrics["cache_misses"] == 2
 
 
 # ----------------------------------------------------------------------

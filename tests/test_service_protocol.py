@@ -24,7 +24,8 @@ from hypothesis import given, settings, strategies as st
 from repro.chaos import KINDS, FaultPlan, FaultSpec
 from repro.core.executor import FlowSummary, PathSummary, StaSummary
 from repro.core.metrics import TestDataMetrics
-from repro.core.resilience import SweepReport, TaskFailure, parse_journal_lines
+from repro.core.resilience import SweepReport, TaskFailure
+from repro.jsonl import parse_jsonl
 from repro.service.protocol import (
     JOB_STATES,
     PROTOCOL_VERSION,
@@ -327,9 +328,9 @@ def test_truncated_journal_never_crashes_or_overreports(n_cells, done,
     torn_text = full_text[:min(cut, len(full_text))]
 
     full = progress_from_journal(
-        parse_journal_lines(full_text.splitlines()))
+        parse_jsonl(full_text.splitlines())[0])
     torn = progress_from_journal(
-        parse_journal_lines(torn_text.splitlines()))
+        parse_jsonl(torn_text.splitlines())[0])
 
     assert full["total"] == n_cells and full["done"] == done
     assert full["finished"]
@@ -349,7 +350,7 @@ def test_truncated_journal_never_crashes_or_overreports(n_cells, done,
 def test_garbage_journal_decodes_to_empty_progress(garbage):
     text = garbage.decode("utf-8", errors="replace")
     progress = progress_from_journal(
-        parse_journal_lines(text.splitlines()))
+        parse_jsonl(text.splitlines())[0])
     assert progress["done"] == 0 and progress["failed"] == 0
     assert not progress["finished"]
 
@@ -357,7 +358,7 @@ def test_garbage_journal_decodes_to_empty_progress(garbage):
 def test_mid_sweep_journal_reads_as_in_progress():
     lines = _journal_lines(3, 3)
     # Drop the sweep_end and the last task_done: cell 2 is running.
-    torn = progress_from_journal(parse_journal_lines(lines[:-2]))
+    torn = progress_from_journal(parse_jsonl(lines[:-2])[0])
     assert torn["total"] == 3
     assert torn["done"] == 2
     assert torn["running"] == 1
@@ -366,7 +367,7 @@ def test_mid_sweep_journal_reads_as_in_progress():
 
 def test_journal_with_torn_start_materialises_cells_from_events():
     lines = _journal_lines(2, 2)[1:]  # sweep_start frame lost
-    progress = progress_from_journal(parse_journal_lines(lines))
+    progress = progress_from_journal(parse_jsonl(lines)[0])
     assert progress["total"] == 2
     assert progress["done"] == 2
 

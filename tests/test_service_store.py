@@ -10,19 +10,29 @@ through the executor's resume path — where the sweep journal plus the
 shared artifact cache make the resumed result **byte-identical** to an
 uninterrupted run.
 
-The store unit tests exercise the same crash-damage discipline as the
-sweep journal's: torn lines are skipped *and counted*, never fatal,
-and an append after a tear first terminates the half-line so the
-damage stays confined to exactly one frame.
+The store and the sweep journal share one JSONL log
+(:mod:`repro.jsonl`), so one crash-damage matrix runs against both:
+torn lines are skipped *and counted*, never fatal, and an append after
+a tear first terminates the half-line so the damage stays confined to
+exactly one frame.
 """
 
 from __future__ import annotations
 
+import json
+import shutil
 import time
+from dataclasses import dataclass, replace
+from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, List, Tuple
 
 import pytest
 
 from repro import api
+from repro.core import resilience
+from repro.core.resilience import SweepJournal, completed_keys, read_journal
+from repro.jsonl import read_jsonl
 from repro.service import (
     JobManager,
     JobRecord,
@@ -39,7 +49,10 @@ from repro.service.protocol import (
     canonical_result_bytes,
     report_to_wire,
 )
+from repro.service import store as store_module
 from repro.service.store import STORE_FILENAME, STORE_VERSION
+
+GOLDEN = Path(__file__).parent / "golden"
 
 #: Cheap ATPG knobs, matching tests/test_service.py.
 ATPG = {"seed": 7, "backtrack_limit": 24, "max_deterministic": 60,
@@ -100,53 +113,173 @@ def test_store_replay_of_missing_file_is_empty(tmp_path):
     assert replay.torn_lines == 0
 
 
+# ----------------------------------------------------------------------
+# Crash-damage matrix over both clients of the shared JSONL log: the
+# job store (replay) and the sweep journal (``--resume`` appends, the
+# progress reader counts).  Each case runs against every client that
+# can see the damage, from the same inputs.
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class LogClient:
+    """One writer/reader pair over :class:`repro.jsonl.JsonlLog`."""
+
+    name: str
+    filename: str
+    #: Reopen the log for append and record one frame tagged ``tag``.
+    append: Callable[[Path, str], None]
+    #: ``(tags of the intact frames, torn_lines)``.
+    read: Callable[[Path], Tuple[List[str], int]]
+
+
+def _store_append(root, tag):
+    with JobStore(root) as store:
+        store.record_transition(record_for(tag, JOB_QUEUED, request((0.0,))))
+
+
+def _store_read(root):
+    replay = JobStore.replay(root)
+    return [r.id for r in replay.records], replay.torn_lines
+
+
+def _journal_append(root, tag):
+    with SweepJournal(root / "journal.jsonl", resume=True) as journal:
+        journal.record("task_done", key=tag)
+
+
+def _journal_read(root):
+    events, torn = read_jsonl(root / "journal.jsonl")
+    return [e["key"] for e in events], torn
+
+
+STORE = LogClient("store", STORE_FILENAME, _store_append, _store_read)
+JOURNAL = LogClient("journal", "journal.jsonl", _journal_append,
+                    _journal_read)
+LOG_CLIENTS = (STORE, JOURNAL)
+
+#: What ``kill -9`` leaves mid-write: a line with no newline.
+TORN_STUMP = '{"v": 1, "ts": 12.5, "rec'
+
+
+def _damage(root, client, text):
+    with open(root / client.filename, "a", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def test_store_replay_skips_and_counts_torn_tail(tmp_path):
-    req = request((0.0,))
-    with JobStore(tmp_path) as store:
-        store.record_transition(record_for("j1", JOB_DONE, req))
-    path = tmp_path / STORE_FILENAME
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"v": 1, "record": {"id": "j2", "sta')  # torn
-
-    replay = JobStore.replay(tmp_path)
-    assert replay.torn_lines == 1
-    assert [r.id for r in replay.records] == ["j1"]
+    for client in LOG_CLIENTS:
+        root = tmp_path / client.name
+        client.append(root, "j1")
+        _damage(root, client, TORN_STUMP)
+        assert client.read(root) == (["j1"], 1), client.name
 
 
-@pytest.mark.parametrize("bad_line", [
-    "not json at all",
-    "[1, 2, 3]",                              # JSON, wrong shape
-    '{"v": 999, "record": {}}',               # foreign store version
-    '{"v": %d, "record": {"id": "jx"}}' % STORE_VERSION,  # undecodable
+@pytest.mark.parametrize("bad_line,clients", [
+    pytest.param("not json at all", LOG_CLIENTS, id="not json at all"),
+    # JSON, wrong shape
+    pytest.param("[1, 2, 3]", LOG_CLIENTS, id="[1, 2, 3]"),
+    # Store-only: a foreign store version, an undecodable record (both
+    # are valid objects to the journal reader).
+    pytest.param('{"v": 999, "record": {}}', (STORE,),
+                 id='{"v": 999, "record": {}}'),
+    pytest.param('{"v": %d, "record": {"id": "jx"}}' % STORE_VERSION,
+                 (STORE,),
+                 id='{"v": %d, "record": {"id": "jx"}}' % STORE_VERSION),
 ])
-def test_store_replay_counts_every_damage_shape(tmp_path, bad_line):
-    req = request((0.0,))
-    with JobStore(tmp_path) as store:
-        store.record_transition(record_for("j1", JOB_QUEUED, req))
-    with open(tmp_path / STORE_FILENAME, "a", encoding="utf-8") as fh:
-        fh.write(bad_line + "\n")
-
-    replay = JobStore.replay(tmp_path)
-    assert replay.torn_lines == 1
-    assert [r.id for r in replay.records] == ["j1"]
+def test_store_replay_counts_every_damage_shape(tmp_path, bad_line,
+                                                clients):
+    for client in clients:
+        root = tmp_path / client.name
+        client.append(root, "j1")
+        _damage(root, client, bad_line + "\n")
+        client.append(root, "j2")  # mid-file damage: reading goes on
+        assert client.read(root) == (["j1", "j2"], 1), client.name
 
 
 def test_store_append_after_tear_confines_damage_to_one_frame(tmp_path):
-    """A kill -9 tears the trailing line; the next writer must not
-    glue its first frame onto the stump."""
-    req = request((0.0,))
-    with JobStore(tmp_path) as store:
-        store.record_transition(record_for("j1", JOB_RUNNING, req))
-    with open(tmp_path / STORE_FILENAME, "a", encoding="utf-8") as fh:
-        fh.write('{"v": 1, "ts": 12.5, "rec')  # no newline: torn
+    """A kill -9 tears the trailing line; the next writer (a restarted
+    daemon, a ``--resume`` sweep) must not glue its first frame onto
+    the stump."""
+    for client in LOG_CLIENTS:
+        root = tmp_path / client.name
+        client.append(root, "j1")
+        _damage(root, client, TORN_STUMP)
+        client.append(root, "j2")
+        # The stump, nothing more.
+        assert client.read(root) == (["j1", "j2"], 1), client.name
 
-    # A restarted daemon reopens the store and keeps appending.
-    with JobStore(tmp_path) as store:
-        store.record_transition(record_for("j1", JOB_DONE, req))
 
+# ----------------------------------------------------------------------
+# Logs written by the previous writers (tests/golden/legacy_*.jsonl,
+# each ending in a torn tail) replay, resume and re-encode unchanged.
+# ----------------------------------------------------------------------
+def _intact_lines(path):
+    """The fixture's complete lines (its last line is the torn stump)."""
+    return path.read_text(encoding="utf-8").splitlines()[:-1]
+
+
+def test_legacy_store_replays_and_resumes(tmp_path):
+    shutil.copy(GOLDEN / "legacy_store.jsonl", tmp_path / STORE_FILENAME)
     replay = JobStore.replay(tmp_path)
-    assert replay.torn_lines == 1          # the stump, nothing more
-    assert replay.records[0].state == JOB_DONE
+    assert replay.torn_lines == 1
+    assert [(r.id, r.state) for r in replay.records] == [
+        ("jdone", JOB_DONE), ("jrun", JOB_RUNNING)]
+    assert replay.reports == {"jdone": {"fake": "report"}}
+
+    # A restarted daemon re-adopts the running job behind the stump.
+    with JobStore(tmp_path) as store:
+        store.record_transition(replace(replay.records[1],
+                                        state=JOB_INTERRUPTED))
+    again = JobStore.replay(tmp_path)
+    assert again.torn_lines == 1
+    assert [(r.id, r.state) for r in again.records] == [
+        ("jdone", JOB_DONE), ("jrun", JOB_INTERRUPTED)]
+
+
+def test_legacy_store_lines_reencode_byte_identically(tmp_path,
+                                                      monkeypatch):
+    lines = _intact_lines(GOLDEN / "legacy_store.jsonl")
+    with JobStore(tmp_path) as store:
+        for raw in lines:
+            line = json.loads(raw)
+            monkeypatch.setattr(store_module, "time",
+                                SimpleNamespace(time=lambda: line["ts"]))
+            store.record_transition(JobRecord.from_wire(line["record"]),
+                                    report=line.get("report"))
+    written = (tmp_path / STORE_FILENAME).read_text(encoding="utf-8")
+    assert written == "".join(raw + "\n" for raw in lines)
+
+
+def test_legacy_journal_resumes(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    shutil.copy(GOLDEN / "legacy_journal.jsonl", path)
+    events, torn = read_jsonl(path)
+    assert torn == 1
+    assert [e["event"] for e in events] == [
+        "sweep_start", "task_start", "task_done", "task_start"]
+    assert completed_keys(read_journal(path)) == {"k0"}
+
+    with SweepJournal(path, resume=True) as journal:
+        journal.record("task_done", key="k2", name="s38417",
+                       tp_percent=2.0, attempt=0)
+    events, torn = read_jsonl(path)
+    assert torn == 1
+    assert completed_keys(events) == {"k0", "k2"}
+
+
+def test_legacy_journal_lines_reencode_byte_identically(tmp_path,
+                                                        monkeypatch):
+    lines = _intact_lines(GOLDEN / "legacy_journal.jsonl")
+    path = tmp_path / "journal.jsonl"
+    with SweepJournal(path) as journal:
+        for raw in lines:
+            data = json.loads(raw)
+            ts, mono = data.pop("ts"), data.pop("ts_mono")
+            monkeypatch.setattr(
+                resilience, "time",
+                SimpleNamespace(time=lambda: ts, monotonic=lambda: mono))
+            journal.record(data.pop("event"), **data)
+    written = path.read_text(encoding="utf-8")
+    assert written == "".join(raw + "\n" for raw in lines)
 
 
 # ----------------------------------------------------------------------
