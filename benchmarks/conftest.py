@@ -18,7 +18,6 @@ reuse finished levels across bench invocations.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import pathlib
 
@@ -99,37 +98,11 @@ def _executor() -> ExecutorConfig:
 _CACHE = {}
 
 
-def _write_stage_breakdown(name: str, result) -> None:
-    """Persist per-stage runtimes per TP level for this sweep.
-
-    Cache-served levels report the timings recorded when the flow
-    actually ran, flagged with ``from_cache`` so readers can tell
-    measured-this-run from replayed numbers.
-    """
-    payload = {
-        "circuit": name,
-        "scale": _scale_for(name),
-        "levels": {
-            f"{pct:g}": {
-                "stage_seconds": run.effective_stage_seconds(),
-                "from_cache": run.from_cache,
-            }
-            for pct, run in sorted(result.runs.items())
-        },
-    }
-    OUT_DIR.mkdir(exist_ok=True)
-    path = OUT_DIR / f"BENCH_{name}_stages.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    print(f"\n[bench artifact] {path}")
-
-
 def sweep_result(name: str):
     """Run (or reuse) the six-layout sweep for one circuit.
 
     With ``REPRO_BENCH_TRACE`` set, the sweep runs traced and a merged
-    Chrome trace-event file lands in ``benchmarks/out/`` next to the
-    per-stage breakdown JSON that every sweep writes.
+    Chrome trace-event file lands in ``benchmarks/out/``.
     """
     if name not in _CACHE:
         executor = _executor()
@@ -144,7 +117,6 @@ def sweep_result(name: str):
             print(f"\n[bench artifact] {trace_path}")
         else:
             result = run_sweep(_experiment(name), executor)
-        _write_stage_breakdown(name, result)
         _CACHE[name] = result
     return _CACHE[name]
 

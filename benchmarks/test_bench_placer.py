@@ -2,15 +2,12 @@
 
 Two artifacts land in ``benchmarks/out/``:
 
-* ``BENCH_placer_stages.json`` — a ``repro.obs.benchtrack`` stage
-  record of the default (quadratic) engine, with two extra sections:
-  the same sweep under the ``"sa"`` engine, and the ``solver``
-  microbench quantifying the numpy acceleration of the quadratic
-  global place (the spring system is assembled once and reused across
-  all four Gordian rounds instead of being rebuilt per round).  The
-  top-level record is benchtrack-comparable: CI gates it with
-  ``python -m repro.obs.benchtrack compare`` (self + inflated copy,
-  never across machines).
+* ``BENCH_placer_stages.json`` — per-stage seconds of a serial,
+  cache-cold sweep under each engine (``quadratic`` and ``sa``), and
+  the ``solver`` microbench quantifying the numpy acceleration of the
+  quadratic global place (the spring system is assembled once and
+  reused across all four Gordian rounds instead of being rebuilt per
+  round).
 * ``placer_engines.txt`` — the per-engine wirelength/runtime summary.
 
 The speedup assertion is deliberately loose (cached assembly must not
@@ -24,16 +21,36 @@ import json
 import time
 
 from conftest import write_artifact
+from repro import api
 from repro.circuits import s38417_like
 from repro.layout import build_floorplan, get_placer, placement_seed
 from repro.layout import placement as placement_mod
-from repro.obs import benchtrack as bt
 
 #: Fast ATPG knobs: bench the layout stages, not PODEM.
 FAST_ATPG = {"seed": 7, "backtrack_limit": 24, "max_deterministic": 60,
              "abort_recovery_blocks": 4, "second_chance_factor": 1}
 
 SOLVER_SCALE = 0.15  # ~4k cells: assembly dominates at this size
+SWEEP_SCALE = 0.01
+TP_PERCENTS = (0.0, 2.0)
+
+
+def _stage_seconds(placer: str) -> dict:
+    """Per-stage seconds of a serial, cache-cold sweep, summed over
+    cells (serial and uncached so they measure compute, not queueing
+    or cache hits)."""
+    report = api.sweep_report("s38417", scale=SWEEP_SCALE,
+                              tp_percents=TP_PERCENTS, jobs=1,
+                              use_cache=False, atpg=FAST_ATPG,
+                              placer=placer)
+    assert not report.failures, report.failures
+    stages: dict = {}
+    for result in report.results.values():
+        for summary in result.runs.values():
+            for key, value in summary.stage_seconds.items():
+                stages[key] = stages.get(key, 0.0) + float(value)
+    return {"stages": dict(sorted(stages.items())),
+            "wall_s": sum(stages.values())}
 
 
 def _solver_microbench() -> dict:
@@ -77,23 +94,21 @@ def test_placer_stage_record(out_dir):
     assert (solver["global_place_cached_s"]
             <= solver["global_place_reassembling_s"] * 1.25)
 
-    quad = bt.record_stages("s38417", scale=0.01,
-                            tp_percents=(0.0, 2.0), atpg=FAST_ATPG)
-    sa = bt.record_stages("s38417", scale=0.01, tp_percents=(0.0, 2.0),
-                          atpg=FAST_ATPG, placer="sa")
-    assert quad["placer"] == "quadratic" and sa["placer"] == "sa"
-    # Self-comparison always passes: the committed record stays usable
-    # as a benchtrack compare operand.
-    assert bt.check_regressions(quad, quad) == []
-
-    record = dict(quad)
-    record["sa"] = {"stages": sa["stages"], "wall_s": sa["wall_s"]}
-    record["solver"] = solver
+    quad = _stage_seconds("quadratic")
+    sa = _stage_seconds("sa")
+    record = {
+        "circuit": "s38417",
+        "scale": SWEEP_SCALE,
+        "tp_percents": list(TP_PERCENTS),
+        "quadratic": quad,
+        "sa": sa,
+        "solver": solver,
+    }
     write_artifact(out_dir, "BENCH_placer_stages.json",
                    json.dumps(record, indent=1, sort_keys=True) + "\n")
 
     lines = [
-        f"placement engines, s38417 scale=0.01 tp=(0,2):",
+        f"placement engines, s38417 scale={SWEEP_SCALE} tp=(0,2):",
         f"  quadratic: floorplan_place "
         f"{quad['stages'].get('floorplan_place', 0.0):.3f}s "
         f"(wall {quad['wall_s']:.2f}s)",

@@ -9,11 +9,6 @@ the POST /sweeps round trip in the two admission regimes:
 * **reject** — the queue is at ``max_pending``; the submit is shed
   with 429 + ``Retry-After`` *before* any durable write, so shedding
   must be cheap precisely when the daemon is busiest.
-
-The record doubles as a ``repro_bench_stages`` benchtrack record (the
-latencies live under ``stages``), so CI can gate it with
-``python -m repro.obs.benchtrack compare`` exactly like the sweep
-stage benches — self-comparison must pass, an inflated copy must not.
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ import json
 import time
 
 from conftest import write_artifact
-from repro.obs import benchtrack as bt
 from repro.service import (
     ServiceClient,
     ServiceConfig,
@@ -106,7 +100,7 @@ def test_service_admission_latency(tmp_path, out_dir):
     accept = _measure_accepts(tmp_path)
     reject = _measure_rejects(tmp_path)
 
-    stages = {
+    latency = {
         "submit_accept_p50": _percentile(accept, 0.50),
         "submit_accept_p99": _percentile(accept, 0.99),
         "submit_reject_p50": _percentile(reject, 0.50),
@@ -115,27 +109,14 @@ def test_service_admission_latency(tmp_path, out_dir):
     # Sanity, deliberately loose (CI machines are noisy): the whole
     # submit path — fsync included — stays well under a second, and
     # shedding is never an order of magnitude dearer than accepting.
-    assert stages["submit_accept_p99"] < 1.0, stages
-    assert stages["submit_reject_p99"] < 1.0, stages
+    assert latency["submit_accept_p99"] < 1.0, latency
+    assert latency["submit_reject_p99"] < 1.0, latency
 
-    record = {
-        "kind": bt.RECORD_KIND,
-        "version": bt.RECORD_VERSION,
-        "circuit": "service",
-        "scale": SCALE,
-        "placer": "n/a",
-        "tp_percents": [],
-        "samples": SAMPLES,
-        "stages": stages,
-        "wall_s": sum(stages.values()),
-    }
-    # The committed artifact stays usable as a benchtrack operand.
-    assert bt.check_regressions(record, record) == []
-
+    record = {"scale": SCALE, "samples": SAMPLES, "latency_s": latency}
     write_artifact(out_dir, "BENCH_service_admission.json",
                    json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"admission latency over {SAMPLES} samples: "
-          f"accept p50={stages['submit_accept_p50'] * 1e3:.2f}ms "
-          f"p99={stages['submit_accept_p99'] * 1e3:.2f}ms | "
-          f"reject p50={stages['submit_reject_p50'] * 1e3:.2f}ms "
-          f"p99={stages['submit_reject_p99'] * 1e3:.2f}ms")
+          f"accept p50={latency['submit_accept_p50'] * 1e3:.2f}ms "
+          f"p99={latency['submit_accept_p99'] * 1e3:.2f}ms | "
+          f"reject p50={latency['submit_reject_p50'] * 1e3:.2f}ms "
+          f"p99={latency['submit_reject_p99'] * 1e3:.2f}ms")

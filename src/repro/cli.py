@@ -543,6 +543,13 @@ def cmd_cancel(args) -> int:
     return 0
 
 
+def _invalid_trace(what: str, problems: list) -> int:
+    print(f"{what} is invalid:", file=sys.stderr)
+    for problem in problems:
+        print(f"  {problem}", file=sys.stderr)
+    return 1
+
+
 def cmd_trace(args) -> int:
     """Merge raw trace files or summarize a merged Chrome trace."""
     if args.trace_command == "merge":
@@ -551,20 +558,17 @@ def cmd_trace(args) -> int:
         for path in files:
             try:
                 traces.extend(obs.read_trace_file(path))
-            except (OSError, ValueError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:
                 print(f"cannot read {path}: {exc}", file=sys.stderr)
                 return 1
         if not traces:
             print("no traces found in: " + ", ".join(args.inputs),
                   file=sys.stderr)
             return 1
-        merged = obs.merge_traces(traces)
+        merged = obs.chrome_trace(traces)
         problems = obs.validate_chrome_trace(merged)
         if problems:
-            print("merged trace is invalid:", file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 1
+            return _invalid_trace("merged trace", problems)
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(merged, handle, indent=1)
         pids = {e["pid"] for e in merged["traceEvents"]}
@@ -577,13 +581,20 @@ def cmd_trace(args) -> int:
     for path in args.inputs:
         if len(args.inputs) > 1:
             print(f"== {path} ==")
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-        if isinstance(obj, dict) and "traceEvents" in obj:
-            print(obs.summarize_merged(obj))
-        else:
-            for trace in obs.read_trace_file(path):
-                print(obs.format_trace_summary(trace))
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                obj = json.load(handle)
+            if isinstance(obj, dict) and "traceEvents" in obj:
+                problems = obs.validate_chrome_trace(obj)
+                if problems:
+                    return _invalid_trace(path, problems)
+                print(obs.summarize_merged(obj))
+            else:
+                for trace in obs.read_trace_file(path):
+                    print(obs.format_trace_summary(trace))
+        except (OSError, ValueError) as exc:
+            print(f"cannot read {path}: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

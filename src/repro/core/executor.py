@@ -549,8 +549,6 @@ class ExecutorConfig:
             instead of the configured seed.  Applied identically at
             every job count, so parallel and serial runs stay
             bit-identical; keyed into the cache so the modes never mix.
-        mp_context: ``multiprocessing`` start method (None = platform
-            default).
         trace: Have every worker record a span tree for its flow run
             (returned on ``FlowSummary.trace``), and the parent record
             per-level queue-wait/worker-run spans plus cache counters
@@ -607,7 +605,6 @@ class ExecutorConfig:
     cache_dir: Optional[str] = None
     use_cache: bool = True
     derive_seeds: bool = False
-    mp_context: Optional[str] = None
     trace: bool = False
     retries: int = 2
     task_timeout_s: Optional[float] = None
@@ -1082,9 +1079,8 @@ class _Scheduler:
                 break
 
     # -- parallel mode --------------------------------------------------
-    def _new_pool(self, ctx) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers,
-                                   mp_context=ctx)
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self.workers)
 
     def _submit(self, pool: ProcessPoolExecutor, in_flight: Dict,
                 task: _LevelTask, attempt: int, solo: bool) -> None:
@@ -1100,17 +1096,13 @@ class _Scheduler:
         """Pool execution with retries, watchdog, and crash isolation."""
         for task in self.pending:
             _check_picklable(task)
-        import multiprocessing
-
-        ctx = (multiprocessing.get_context(self.executor.mp_context)
-               if self.executor.mp_context else None)
         self.workers = min(self.executor.jobs, len(self.pending))
         timeout = self.executor.task_timeout_s
         queue: deque = deque((task, 0) for task in self.pending)
         isolate: deque = deque()  # suspects to re-run solo
         waiting: List[Tuple[float, _LevelTask, int, bool]] = []
         in_flight: Dict = {}
-        pool = self._new_pool(ctx)
+        pool = self._new_pool()
         try:
             while queue or isolate or waiting or in_flight:
                 self._check_cancel()
@@ -1208,7 +1200,7 @@ class _Scheduler:
                         broken_tasks.append((task, attempt, solo))
                     in_flight.clear()
                     _terminate_pool(pool)
-                    pool = self._new_pool(ctx)
+                    pool = self._new_pool()
                     for task, attempt, solo in broken_tasks:
                         if solo:
                             # Ran alone when the pool broke: guilty.
@@ -1242,7 +1234,7 @@ class _Scheduler:
                         victims = list(in_flight.items())
                         in_flight.clear()
                         _terminate_pool(pool)
-                        pool = self._new_pool(ctx)
+                        pool = self._new_pool()
                         for future, (task, attempt, _tw, _tm, solo) in \
                                 victims:
                             if future in overdue:

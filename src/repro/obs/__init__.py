@@ -1,21 +1,23 @@
-"""Observability layer: traces, metrics, events, aggregation.
+"""Observability layer: traces, metrics, events.
 
 Zero-dependency telemetry for the Figure 2 flow, the sweep executor
-and the serving daemon, organised as four pillars (DESIGN.md §12):
+and the serving daemon, organised as three pillars (DESIGN.md §7,
+§12):
 
 1. **Traces** — :mod:`repro.obs.tracer` records span trees with
-   counters/gauges; :mod:`repro.obs.export` renders Chrome trace-event
-   JSON and text summaries.
+   counters/gauges; :mod:`repro.obs.merge` carries them across
+   processes as JSON trace files; :mod:`repro.obs.export` stitches any
+   number of them into one Chrome trace-event object (the only Chrome
+   exporter) and renders text summaries.
 2. **Metrics** — :mod:`repro.obs.metrics` is a registry of counters,
    gauges and log-bucketed histograms;
    :mod:`repro.obs.promtext` encodes it in Prometheus text exposition
    format (and validates scrapes).
 3. **Events** — :mod:`repro.obs.events` is a leveled JSONL event log
    with ``run_id``/``job_id``/cell correlation via :func:`bind`.
-4. **Aggregation** — :mod:`repro.obs.merge` stitches per-process
-   traces into one sweep-level trace with stable pid/tid mapping;
-   :mod:`repro.obs.benchtrack` tracks bench stage-runtime trajectories
-   and gates regressions.
+
+The performance record of the reproduction is ``benchmarks/perf``,
+which builds on the tracer; nothing here stores bench timings.
 
 Everything is off by default and free when off: the process-wide
 tracer, registry and event log are shared null singletons until a
@@ -48,12 +50,10 @@ from repro.obs.export import (
 )
 from repro.obs.merge import (
     collect_trace_files,
-    merge_traces,
     read_trace_file,
     summarize_merged,
     trace_from_dict,
     trace_to_dict,
-    write_merged_trace,
     write_trace_file,
 )
 from repro.obs.metrics import (
@@ -119,7 +119,6 @@ __all__ = [
     "install_events_from_env",
     "install_registry",
     "log_buckets",
-    "merge_traces",
     "metrics_active",
     "observe",
     "read_events",
@@ -135,6 +134,5 @@ __all__ = [
     "validate_chrome_trace",
     "validate_exposition",
     "write_chrome_trace",
-    "write_merged_trace",
     "write_trace_file",
 ]

@@ -807,9 +807,9 @@ class JobManager:
 
         The bundle always holds the job-level spans (queue_wait +
         run); with ``request.trace`` set it also carries every cell's
-        worker-side flow trace, so ``merge_traces`` can stitch the
-        whole job across processes.  Best-effort: a full disk must
-        not fail the job itself.
+        worker-side flow trace, so :func:`repro.obs.chrome_trace` can
+        stitch the whole job across processes.  Best-effort: a full
+        disk must not fail the job itself.
         """
         job.tracer.record_span("run", run_from, job.tracer.now())
         traces = [job.tracer.trace()]
@@ -839,7 +839,7 @@ class JobManager:
         if trace_path is None:
             raise FileNotFoundError(
                 f"job {job_id} has no trace yet (state {state})")
-        return obs.merge_traces(obs.read_trace_file(trace_path))
+        return obs.chrome_trace(obs.read_trace_file(trace_path))
 
     # -- observability ---------------------------------------------------
     def _counter_value(self, family: str, label: Optional[str],

@@ -168,6 +168,20 @@ def test_sweep_trace_merges_levels_into_one_file(tmp_path, capsys):
     assert "Stage runtimes" in out
 
 
+@pytest.mark.parametrize("content, message", [
+    ('{"not": "a trace"}', "cannot read"),
+    ("not json at all", "cannot read"),
+    ('{"traceEvents": [{"ph": "X", "pid": 1, "tid": 1, "ts": 0, '
+     '"dur": 1}]}', "missing 'name'"),
+], ids=["not-a-trace", "not-json", "nameless-event"])
+def test_trace_summarize_rejects_bad_input(tmp_path, capsys, content,
+                                           message):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    assert main(["trace", "summarize", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # Service subcommands (submit / status / result / cancel)
 # ----------------------------------------------------------------------

@@ -157,6 +157,15 @@ def test_old_executor_config_pickle_without_resilience_knobs():
     assert isinstance(old.retry_policy, RetryPolicy)
 
 
+def test_old_executor_config_pickle_with_dropped_mp_context():
+    # ``mp_context`` was removed; pickles that still carry it load.
+    config = ExecutorConfig(jobs=4, cache_dir="/tmp/x")
+    config.__dict__["mp_context"] = "spawn"
+    old = roundtrip(config)
+    assert old.jobs == 4 and old.cache_dir == "/tmp/x"
+    assert old == ExecutorConfig(jobs=4, cache_dir="/tmp/x")
+
+
 def test_task_failure_and_sweep_report_roundtrip():
     from repro.core.resilience import SweepReport, TaskFailure
 

@@ -1,10 +1,12 @@
-"""Tests for cross-process trace aggregation.
+"""Tests for cross-process trace files and the Chrome exporter.
 
-The stitcher's contract: align traces on the shared monotonic clock
-(wall fallback for old traces), renumber real pids to stable virtual
-pids ``1..N`` so re-merging is byte-identical, keep the OS pid in the
-``process_name`` metadata, and always emit something
-:func:`repro.obs.validate_chrome_trace` accepts.
+The exporter's contract (:func:`repro.obs.chrome_trace`, the only
+one): align traces on the shared monotonic clock (wall fallback for
+old traces), renumber real pids to stable virtual pids ``1..N`` so
+re-merging is byte-identical, keep the OS pid in the ``process_name``
+metadata, and always emit something
+:func:`repro.obs.validate_chrome_trace` accepts.  ``repro trace
+merge`` writes exactly what the library call returns.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.obs.merge import TRACE_FILE_KEY
 
 
@@ -83,7 +86,7 @@ def test_collect_trace_files_expands_directories(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Merging
+# Chrome export
 # ----------------------------------------------------------------------
 def test_merge_assigns_stable_virtual_pids():
     traces = [
@@ -91,7 +94,7 @@ def test_merge_assigns_stable_virtual_pids():
         _trace("worker-a", pid=4242, wall=10.0, mono=100.0),
         _trace("worker-b2", pid=9001, wall=10.5, mono=100.5),
     ]
-    merged = obs.merge_traces(traces)
+    merged = obs.chrome_trace(traces)
     assert obs.validate_chrome_trace(merged) == []
     meta = [e for e in merged["traceEvents"]
             if e.get("ph") == "M" and e["name"] == "process_name"]
@@ -107,8 +110,8 @@ def test_merge_assigns_stable_virtual_pids():
 def test_merge_is_deterministic_regardless_of_input_order():
     traces = [_trace(f"t{i}", pid=100 + i, wall=float(i),
                      mono=50.0 + i) for i in range(4)]
-    a = json.dumps(obs.merge_traces(traces), sort_keys=True)
-    b = json.dumps(obs.merge_traces(list(reversed(traces))),
+    a = json.dumps(obs.chrome_trace(traces), sort_keys=True)
+    b = json.dumps(obs.chrome_trace(list(reversed(traces))),
                    sort_keys=True)
     assert a == b
 
@@ -117,7 +120,7 @@ def test_merge_aligns_on_monotonic_clock():
     # Same machine: mono epochs 2s apart, wall epochs wildly skewed.
     early = _trace("early", pid=1, wall=1000.0, mono=500.0)
     late = _trace("late", pid=2, wall=10.0, mono=502.0)
-    merged = obs.merge_traces([early, late])
+    merged = obs.chrome_trace([early, late])
     assert merged["otherData"]["clock"] == "monotonic"
     spans = {e["pid"]: e for e in merged["traceEvents"]
              if e.get("ph") == "X"}
@@ -127,19 +130,22 @@ def test_merge_aligns_on_monotonic_clock():
 
 
 def test_merge_falls_back_to_wall_clock():
-    # One trace without mono_epoch (old pickle) forces wall alignment.
+    # One trace without mono_epoch (old pickle) forces wall alignment;
+    # None (an untraced run) is skipped.
     a = _trace("new", pid=1, wall=100.0, mono=50.0)
     b = _trace("old", pid=2, wall=101.0, mono=0.0)
-    merged = obs.merge_traces([a, b])
+    merged = obs.chrome_trace([a, None, b])
     assert merged["otherData"]["clock"] == "wall"
-    old_span = [e for e in merged["traceEvents"]
-                if e.get("ph") == "X" and e["pid"] == 2][0]
-    assert old_span["ts"] == pytest.approx(1e6)
+    spans = {e["pid"]: e for e in merged["traceEvents"]
+             if e.get("ph") == "X"}
+    assert spans.keys() == {1, 2}
+    assert spans[2]["ts"] == pytest.approx(1e6)
+    assert spans[1]["dur"] == pytest.approx(0.5e6)
     assert obs.validate_chrome_trace(merged) == []
 
 
 def test_merge_empty_input():
-    merged = obs.merge_traces([None, None])
+    merged = obs.chrome_trace([None, None])
     assert merged["traceEvents"] == []
     assert obs.validate_chrome_trace(merged) == []
 
@@ -147,15 +153,27 @@ def test_merge_empty_input():
 def test_merge_carries_trace_totals():
     t = _trace("tot", pid=1, wall=1.0, mono=1.0)
     t.counters["cells_done"] = 3.0
-    merged = obs.merge_traces([t])
+    t.spans[0].counters["items"] = 3.0
+    t.spans[0].gauges["left"] = 1.0
+    merged = obs.chrome_trace([t])
     instant = [e for e in merged["traceEvents"] if e.get("ph") == "I"]
     assert instant and instant[0]["args"]["cells_done"] == 3.0
+    # Span counters and gauges ride on the complete event's args.
+    (span,) = [e for e in merged["traceEvents"] if e.get("ph") == "X"]
+    assert span["args"] == {"items": 3.0, "left": 1.0}
 
 
-def test_write_merged_trace(tmp_path):
-    path = tmp_path / "merged.json"
-    obj = obs.write_merged_trace(path, [_trace("w", 1, 1.0, 1.0)])
-    assert json.loads(path.read_text()) == obj
+def test_chrome_trace_matches_trace_merge_cli(tmp_path, capsys):
+    # One format: ``repro trace merge`` writes exactly what the
+    # library exporter returns for the same traces.
+    traces = [_trace("worker", pid=9001, wall=10.0, mono=100.0),
+              _trace("parent", pid=4242, wall=10.2, mono=100.2)]
+    raw = tmp_path / "raw.trace.json"
+    obs.write_trace_file(raw, traces)
+    out = tmp_path / "merged.json"
+    assert main(["trace", "merge", "--out", str(out), str(raw)]) == 0
+    assert json.loads(out.read_text()) == obs.chrome_trace(traces)
+    assert "monotonic clock" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +186,7 @@ def test_summarize_merged_lists_tracks_and_spans():
         _trace("cell b", pid=11, wall=1.0, mono=1.0,
                spans=((0.0, 0.25, "atpg"),)),
     ]
-    text = obs.summarize_merged(obs.merge_traces(traces))
+    text = obs.summarize_merged(obs.chrome_trace(traces))
     assert "track pid=1 tid=1 (cell a)" in text
     assert "track pid=2 tid=1 (cell b)" in text
     assert "atpg" in text and "route" in text
