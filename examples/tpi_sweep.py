@@ -27,7 +27,6 @@ from repro.core import (
     format_table1,
     format_table2,
     format_table3,
-    run_experiment,
     run_sweep,
 )
 
@@ -60,15 +59,11 @@ def main() -> None:
           f"(0%..5% test points) with jobs={jobs} "
           f"cache={cache_dir or 'off'} ...")
     t0 = time.time()
-    if jobs > 1 or cache_dir:
-        result = run_sweep(config, ExecutorConfig(jobs=jobs,
-                                                  cache_dir=cache_dir))
-        cached = sorted(p for p, r in result.runs.items() if r.from_cache)
-        if cached:
-            print("served from cache: "
-                  + ", ".join(f"{p:g}%" for p in cached))
-    else:
-        result = run_experiment(config)
+    result = run_sweep(config, ExecutorConfig(jobs=jobs,
+                                              cache_dir=cache_dir))
+    cached = sorted(p for p, r in result.runs.items() if r.from_cache)
+    if cached:
+        print("served from cache: " + ", ".join(f"{p:g}%" for p in cached))
     print(f"done in {time.time() - t0:.0f} s\n")
 
     print("Table 1: Impact of TPI on test data")

@@ -34,11 +34,7 @@ from repro.core.executor import (
     run_sweep as _run_sweep,
     run_sweeps_report as _run_sweeps_report,
 )
-from repro.core.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-)
+from repro.core.experiment import ExperimentConfig, ExperimentResult
 from repro.core.flow import FlowConfig, FlowResult, run_flow
 from repro.core.resilience import SweepReport
 from repro.layout.placer import PLACERS, Placer, PlacerSpec, get_placer
@@ -304,7 +300,7 @@ def _build_executor(
             "cells via the cache and the journal stored next to it"
         )
     return ExecutorConfig(
-        jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, trace=trace,
+        jobs=jobs, cache_dir=cache_dir if use_cache else None, trace=trace,
         retries=retries, task_timeout_s=task_timeout_s, resume=resume,
         fail_fast=fail_fast, chaos=chaos, cache_max_bytes=cache_max_bytes,
     )
@@ -332,6 +328,10 @@ def sweep(
 ) -> ExperimentResult:
     """Run the paper's TP sweep (Tables 1-3) over one circuit.
 
+    Every sweep runs through the fault-tolerant executor
+    (:func:`repro.core.executor.run_sweeps_report`), at every job
+    count, so the results are the same whatever ``jobs`` is.
+
     Args:
         circuit: Registered benchmark name, or a zero-argument factory
             returning a fresh pre-DFT netlist per level (must be
@@ -341,23 +341,24 @@ def sweep(
             the registry for named circuits when omitted.
         scale: Circuit size fraction, used only for named circuits.
         tp_percents: TP levels to sweep (default: the paper's ladder).
-        jobs: Worker processes; >1 routes through the parallel
-            executor, which is bit-identical to the serial path.
-        cache_dir: Content-addressed result cache directory; also
-            routes through the executor (and hosts the sweep journal).
-        use_cache: Read/write the cache (``False`` forces fresh runs).
+        jobs: Worker processes; 1 runs every level inline in this
+            process.  Results are bit-identical at every job count.
+        cache_dir: Content-addressed result cache directory (also
+            hosts the sweep journal).
+        use_cache: Read/write the cache (``False`` forces fresh runs,
+            as if ``cache_dir`` were unset).
         cache_max_bytes: Size cap of the result cache; when the cached
             artifacts exceed it, least-recently-used entries are
             evicted (None = unbounded, the historical behaviour).
-        trace: Ask executor workers to record per-run span traces
-            (serial runs inherit any ambient :func:`repro.obs.tracing`
-            context instead).
+        trace: Record a span trace per level (on
+            ``FlowSummary.trace``); untraced ``jobs=1`` levels record
+            into any ambient :func:`repro.obs.tracing` context instead.
         name: Experiment name (defaults to the circuit name).
         retries: Retry budget per (circuit, tp%) task for *retryable*
             failures (crashes, timeouts, transient I/O).
         task_timeout_s: Watchdog per-task timeout; a task past it is
-            killed (pool replaced) and charged a retry.  Parallel
-            sweeps only.
+            killed (pool replaced) and charged a retry.  Needs
+            ``jobs > 1``: an inline run cannot be preempted.
         resume: Continue a previous sweep: completed cells are served
             from the cache/journal, only the rest run.  Needs
             ``cache_dir``.
@@ -368,23 +369,21 @@ def sweep(
         **options: :class:`FlowConfig` overrides, as in :func:`run`.
 
     Returns:
-        The :class:`ExperimentResult` with the Table 1/2/3 rows.
+        The :class:`ExperimentResult` with the Table 1/2/3 rows; its
+        runs are :class:`repro.core.executor.FlowSummary` cells.
 
     Raises:
-        SweepExecutionError: A cell stayed failed after its retries.
-            Use :func:`sweep_report` instead to get partial results
-            plus structured failures without an exception.
+        SweepExecutionError: A cell stayed failed after its retries
+            (the cell's own exception is on ``failures``).  Use
+            :func:`sweep_report` instead to get partial results plus
+            structured failures without an exception.
     """
     experiment = _build_experiment(circuit, library, config, scale,
                                    tp_percents, name, options)
-    resilient = (retries != 2 or task_timeout_s is not None or resume
-                 or fail_fast or chaos is not None)
-    if jobs > 1 or cache_dir or resilient:
-        executor = _build_executor(jobs, cache_dir, use_cache, trace,
-                                   retries, task_timeout_s, resume,
-                                   fail_fast, chaos, cache_max_bytes)
-        return _run_sweep(experiment, executor)
-    return run_experiment(experiment)
+    executor = _build_executor(jobs, cache_dir, use_cache, trace,
+                               retries, task_timeout_s, resume,
+                               fail_fast, chaos, cache_max_bytes)
+    return _run_sweep(experiment, executor)
 
 
 def sweep_report(

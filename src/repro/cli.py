@@ -35,6 +35,7 @@ subcommand, or a ``--lint`` flow gate).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import difflib
 import json
 import os
@@ -208,80 +209,55 @@ def cmd_flow(args) -> int:
 def cmd_sweep(args) -> int:
     """The paper's six-layout sweep; prints Tables 1-3.
 
-    The serial path (``--jobs 1``, no cache) is the reference
-    semantics; ``--jobs N`` and ``--cache-dir`` route the sweep
-    through the fault-tolerant executor, which is bit-identical to it.
-    A degraded sweep (some cells permanently failed) still prints the
+    Every sweep runs through the fault-tolerant executor, at any
+    ``--jobs``; ``--cache-dir`` adds the result cache and its journal.
+    A ``--lint`` gate failure prints the lint report and exits 4.  A
+    degraded sweep (some cells permanently failed) still prints the
     tables — with holes — plus a failure report, and exits 3.
     """
-    sweep_kwargs = dict(
-        scale=args.scale,
-        tp_percents=args.tp_percents,
-        **_flow_overrides(args),
-    )
     cache_dir = None if args.no_cache else args.cache_dir
     chaos_plan = FaultPlan.load(args.chaos) if args.chaos else None
-    resilient = (args.retries != 2 or args.task_timeout is not None
-                 or args.resume or args.fail_fast
-                 or chaos_plan is not None)
     want_trace = bool(args.trace or args.trace_dir)
+    print(f"[executor] jobs={args.jobs} "
+          f"cache={cache_dir or 'off'} retries={args.retries}"
+          + (f" timeout={args.task_timeout:g}s"
+             if args.task_timeout else "")
+          + (" resume" if args.resume else "")
+          + (" fail-fast" if args.fail_fast else "")
+          + (f" chaos={args.chaos}" if args.chaos else ""))
+    scope = (obs.tracing(label=f"sweep:{args.circuit}") if want_trace
+             else contextlib.nullcontext())
+    with scope as tracer:
+        report = api.sweep_report(
+            args.circuit, scale=args.scale, tp_percents=args.tp_percents,
+            jobs=args.jobs, cache_dir=cache_dir,
+            cache_max_bytes=args.cache_max_bytes, trace=want_trace,
+            retries=args.retries, task_timeout_s=args.task_timeout,
+            resume=args.resume, fail_fast=args.fail_fast,
+            chaos=chaos_plan, **_flow_overrides(args))
+    for failure in report.failures:
+        if isinstance(failure.exception, LintError):
+            return _report_lint_abort(failure.exception)
+    result = report.results[args.circuit]
     traces = []
-    report = None
-    if args.jobs > 1 or cache_dir or resilient:
-        sweep_kwargs.update(jobs=args.jobs, cache_dir=cache_dir,
-                            use_cache=not args.no_cache,
-                            cache_max_bytes=args.cache_max_bytes,
-                            trace=want_trace,
-                            retries=args.retries,
-                            task_timeout_s=args.task_timeout,
-                            resume=args.resume,
-                            fail_fast=args.fail_fast,
-                            chaos=chaos_plan)
-        print(f"[executor] jobs={args.jobs} "
-              f"cache={cache_dir or 'off'} retries={args.retries}"
-              + (f" timeout={args.task_timeout:g}s"
-                 if args.task_timeout else "")
-              + (" resume" if args.resume else "")
-              + (" fail-fast" if args.fail_fast else "")
-              + (f" chaos={args.chaos}" if args.chaos else ""))
-        if want_trace:
-            with obs.tracing(label=f"sweep:{args.circuit}") as tracer:
-                report = api.sweep_report(args.circuit, **sweep_kwargs)
-            result = report.results[args.circuit]
-            # Worker flow traces plus the parent's scheduling trace
-            # (queue waits, cache counters) merge into one timeline.
-            traces = [run.trace for run in result.runs.values()
-                      if run.trace is not None]
-            traces.append(tracer.trace())
-        else:
-            report = api.sweep_report(args.circuit, **sweep_kwargs)
-            result = report.results[args.circuit]
-        cached = sorted(
-            pct for pct, run in result.runs.items() if run.from_cache
-        )
-        if cached:
-            print("[executor] served from cache: "
-                  + ", ".join(f"{pct:g}%" for pct in cached))
-        if report.retries or report.timeouts or report.worker_crashes:
-            print(f"[executor] retries={report.retries} "
-                  f"timeouts={report.timeouts} "
-                  f"worker-crashes={report.worker_crashes}")
-        if report.journal_path:
-            print(f"[executor] journal: {report.journal_path}")
-    elif want_trace:
-        # Serial path: one tracer spans the whole sweep, so its trace
-        # already holds every level's stage spans.
-        try:
-            with obs.tracing(label=f"sweep:{args.circuit}") as tracer:
-                result = api.sweep(args.circuit, **sweep_kwargs)
-        except LintError as err:
-            return _report_lint_abort(err)
-        traces = [tracer.trace()]
-    else:
-        try:
-            result = api.sweep(args.circuit, **sweep_kwargs)
-        except LintError as err:
-            return _report_lint_abort(err)
+    if want_trace:
+        # Every level's flow trace plus the parent's scheduling trace
+        # (queue waits, cache counters) merge into one timeline.
+        traces = [run.trace for run in result.runs.values()
+                  if run.trace is not None]
+        traces.append(tracer.trace())
+    cached = sorted(
+        pct for pct, run in result.runs.items() if run.from_cache
+    )
+    if cached:
+        print("[executor] served from cache: "
+              + ", ".join(f"{pct:g}%" for pct in cached))
+    if report.retries or report.timeouts or report.worker_crashes:
+        print(f"[executor] retries={report.retries} "
+              f"timeouts={report.timeouts} "
+              f"worker-crashes={report.worker_crashes}")
+    if report.journal_path:
+        print(f"[executor] journal: {report.journal_path}")
     _print_tables(result)
     if args.trace:
         obs.write_chrome_trace(args.trace, traces)
@@ -298,7 +274,7 @@ def cmd_sweep(args) -> int:
               f"{args.trace_dir}")
         print(f"  merge: python -m repro trace merge "
               f"--out merged.json {args.trace_dir}")
-    if report is not None and report.failures:
+    if report.failures:
         print(f"\nFAILED cells ({len(report.failures)}; tables above "
               "have holes at these levels)")
         print(format_failures(report.failures))
@@ -656,8 +632,8 @@ def main(argv=None) -> int:
                               "scratch every hold-fix round")
     p_sweep.add_argument("--lint", action="store_true",
                          help="run the netlist/DFT lint gates inside "
-                              "every level's flow; lint errors abort "
-                              "the serial sweep with exit 4")
+                              "every level's flow; lint errors fail "
+                              "the sweep with exit 4")
     p_sweep.add_argument("--retries", type=int, default=2,
                          help="retry budget per (circuit, tp%%) task "
                               "for retryable failures (default 2)")

@@ -1,12 +1,14 @@
-"""Parallel sweep executor with content-addressed result caching.
+"""Sweep executor with content-addressed result caching.
 
 The paper's experiment (Section 4.1) generates six independent layouts
 per circuit — one per test-point level.  Levels never share state: each
 layout starts from a freshly built netlist, so the sweep is
-embarrassingly parallel.  This module fans sweep levels (and whole
-circuits) out over a :class:`concurrent.futures.ProcessPoolExecutor`
-and memoises finished levels in an on-disk cache so re-runs and
-partially-failed sweeps resume instantly.
+embarrassingly parallel.  Every sweep runs through this module
+(:func:`repro.api.sweep`, ``repro sweep`` and the sweep daemon alike):
+one scheduling loop fans sweep levels (and whole circuits) out over a
+:class:`concurrent.futures.ProcessPoolExecutor`, or runs them inline in
+this process at ``jobs=1``, and memoises finished levels in an on-disk
+cache so re-runs and partially-failed sweeps resume instantly.
 
 Three ideas, in order of appearance:
 
@@ -26,20 +28,14 @@ Three ideas, in order of appearance:
   changes the key.  Entries are one pickle file per key under
   ``cache_dir``; writes are atomic (temp file + ``os.replace``) so a
   killed sweep never leaves a corrupt entry behind, and unreadable
-  entries are treated as misses and deleted.
+  entries are treated as misses and quarantined.
 
 * **Determinism** — the flow's only RNG consumer is seeded from
   ``FlowConfig.atpg.seed``, and every stochastic tie-break in the code
-  base derives from stable (process-independent) hashes, so a parallel
-  run is bit-identical to a serial run of the same configs.
-  Optionally (``ExecutorConfig.derive_seeds``) the per-level ATPG seed
-  is itself derived from the cache key, decorrelating levels without
-  sacrificing reproducibility; the flag is part of the cache key, so
-  the two modes never alias.
-
-Serial :func:`~repro.core.experiment.run_experiment` remains the
-reference semantics; with ``derive_seeds=False`` (the default) this
-executor reproduces it exactly, at any job count.
+  base derives from stable (process-independent) hashes, so a sweep is
+  bit-identical at every job count.  Serial
+  :func:`~repro.core.experiment.run_experiment` is kept as the
+  reference the golden and bit-identity tests compare against.
 """
 
 from __future__ import annotations
@@ -54,6 +50,8 @@ import uuid
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Executor,
+    Future,
     ProcessPoolExecutor,
     wait as futures_wait,
 )
@@ -87,7 +85,7 @@ from repro.obs.tracer import Trace
 
 #: Bump when the FlowSummary layout or key derivation changes; old
 #: cache entries then miss instead of unpickling into the wrong shape.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +335,7 @@ def circuit_structural_hash(circuit: Circuit) -> str:
 
 
 def flow_cache_key(circuit: Circuit, config: FlowConfig,
-                   library: Library, extra: str = "") -> str:
+                   library: Library) -> str:
     """Cache key of one flow run: circuit x config x library version.
 
     Args:
@@ -346,34 +344,14 @@ def flow_cache_key(circuit: Circuit, config: FlowConfig,
             already applied).
         library: Cell library; its name and the package version stand
             in for the library contents, which are code-defined.
-        extra: Executor-mode salt (e.g. the ``derive_seeds`` flag) so
-            runs under different execution semantics never alias.
     """
     parts = "\n".join([
         f"schema={CACHE_SCHEMA_VERSION}",
         circuit_structural_hash(circuit),
         config_fingerprint(config),
         f"library={library.name}:{repro.__version__}",
-        extra,
     ])
     return hashlib.sha256(parts.encode("utf-8")).hexdigest()
-
-
-def derive_seed(cache_key: str, attempt: int = 0) -> int:
-    """Deterministic 63-bit ATPG seed derived from a cache key.
-
-    ``attempt`` folds the retry number into the seed (attempt 0
-    reproduces the historical value exactly): under
-    ``ExecutorConfig.derive_seeds`` a retried task explores a fresh
-    but fully reproducible search path, which un-sticks seed-sensitive
-    heuristics without sacrificing replayability.
-    """
-    if attempt <= 0:
-        return int(cache_key[:16], 16) & 0x7FFFFFFFFFFFFFFF
-    salted = hashlib.sha256(
-        f"{cache_key}:attempt={attempt}".encode("utf-8")
-    ).hexdigest()
-    return int(salted[:16], 16) & 0x7FFFFFFFFFFFFFFF
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +398,6 @@ class ResultCache:
         #: result survived uncached — but the count is the degraded-
         #: mode signal.
         self.write_failures = 0
-        self.skipped_writes = 0
 
     def path(self, key: str) -> Path:
         """Entry path for ``key``."""
@@ -471,7 +448,6 @@ class ResultCache:
         the ``max_bytes`` budget (evicting LRU entries, never this
         one).  A no-op in ``read_only`` mode."""
         if self.read_only:
-            self.skipped_writes += 1
             return
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -541,14 +517,10 @@ class ExecutorConfig:
 
     Attributes:
         jobs: Worker processes.  1 runs every level inline in this
-            process (no pool, no pickling of task specs) — handy for
-            debugging and for lambdas as circuit factories.
+            process through the same scheduling loop (no pool, no
+            pickling of task specs) — handy for debugging and for
+            lambdas as circuit factories.
         cache_dir: Result-cache directory; None disables caching.
-        use_cache: Master switch; False ignores ``cache_dir``.
-        derive_seeds: Re-seed each level's ATPG RNG from its cache key
-            instead of the configured seed.  Applied identically at
-            every job count, so parallel and serial runs stay
-            bit-identical; keyed into the cache so the modes never mix.
         trace: Have every worker record a span tree for its flow run
             (returned on ``FlowSummary.trace``), and the parent record
             per-level queue-wait/worker-run spans plus cache counters
@@ -603,8 +575,6 @@ class ExecutorConfig:
 
     jobs: int = 1
     cache_dir: Optional[str] = None
-    use_cache: bool = True
-    derive_seeds: bool = False
     trace: bool = False
     retries: int = 2
     task_timeout_s: Optional[float] = None
@@ -621,7 +591,7 @@ class ExecutorConfig:
     @property
     def cache(self) -> Optional[ResultCache]:
         """The configured cache, or None when caching is off."""
-        if self.cache_dir and self.use_cache:
+        if self.cache_dir:
             return ResultCache(self.cache_dir,
                                max_bytes=self.cache_max_bytes,
                                read_only=self.cache_read_only)
@@ -642,7 +612,7 @@ class ExecutorConfig:
         to track)."""
         if self.journal:
             return Path(self.journal)
-        if self.cache_dir and self.use_cache:
+        if self.cache_dir:
             return Path(self.cache_dir) / "journal.jsonl"
         return None
 
@@ -721,27 +691,6 @@ def _run_level(task: _LevelTask) -> FlowSummary:
     return summarize(result, cache_key=task.cache_key)
 
 
-def _prepare_attempt(task: _LevelTask, attempt: int,
-                     derive_seeds: bool) -> _LevelTask:
-    """The task spec to submit for ``attempt``.
-
-    Attempt 0 is the task as planned.  Retries re-stamp the attempt
-    number (faults and journals key on it) and, under
-    ``derive_seeds``, re-derive the ATPG seed from
-    ``derive_seed(cache_key, attempt)`` so a seed-sensitive failure is
-    not replayed verbatim.  Without ``derive_seeds`` the configured
-    seed is kept: retried cells stay bit-identical to a clean serial
-    run, which the resume/golden guarantees depend on.
-    """
-    if attempt == 0:
-        return task
-    flow = task.flow
-    if derive_seeds:
-        flow = replace(flow, atpg=replace(
-            flow.atpg, seed=derive_seed(task.cache_key, attempt)))
-    return replace(task, attempt=attempt, flow=flow)
-
-
 def _check_picklable(task: _LevelTask) -> None:
     """Fail early, with a pointed message, on unpicklable task specs."""
     try:
@@ -772,21 +721,14 @@ def _plan_levels(config: ExperimentConfig,
     tasks = []
     for pct in config.tp_percents:
         flow = replace(config.flow, tp_percent=pct)
-        circuit = config.circuit_factory()
-        key = flow_cache_key(
-            circuit, flow, library,
-            extra=f"derive_seeds={executor.derive_seeds}",
-        )
-        if executor.derive_seeds:
-            flow = replace(flow, atpg=replace(flow.atpg,
-                                              seed=derive_seed(key)))
         tasks.append(_LevelTask(
             name=config.name,
             tp_percent=pct,
             circuit_factory=config.circuit_factory,
             flow=flow,
             library=config.library,
-            cache_key=key,
+            cache_key=flow_cache_key(config.circuit_factory(), flow,
+                                     library),
             trace=executor.trace,
             chaos=plan,
         ))
@@ -858,6 +800,25 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
+class _InlineExecutor(Executor):
+    """The ``jobs=1`` "pool": runs each task in this process at submit.
+
+    ``submit`` returns an already-completed future, so the scheduling
+    loop's retry, backoff, cancel, fail-fast and journal paths are the
+    ones a process pool takes.  Task specs are never pickled (lambda
+    factories work), and nothing can preempt an inline run, so the
+    watchdog never fires here.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 def _tear_cache_entry(cache: ResultCache, key: str) -> None:
     """Chaos helper: truncate a cache entry mid-bytes (a torn write)."""
     path = cache.path(key)
@@ -869,30 +830,25 @@ def _tear_cache_entry(cache: ResultCache, key: str) -> None:
 
 
 class _Scheduler:
-    """Fault-tolerant execution of a sweep's pending level tasks.
+    """Fault-tolerant execution of a sweep's level tasks.
 
-    Owns the retry budget, the backoff clock, the watchdog, the pool
-    lifecycle and the journal trail.  Two execution modes share the
-    same retry/failure bookkeeping:
-
-    * **Serial** (``jobs <= 1``): tasks run inline; retries back off
-      with ``time.sleep``.  No watchdog — an inline run cannot preempt
-      itself.
-    * **Parallel**: tasks fan out over a :class:`ProcessPoolExecutor`.
-      A watchdog times out hung tasks by replacing the whole pool (a
-      hung worker cannot be cancelled), charging only the overdue
-      task's budget.  When a worker dies outright the pool breaks for
-      every in-flight future without naming a culprit, so the
-      implicated tasks are re-run **solo**: a task that breaks the
-      pool while running alone is the crasher beyond doubt and is the
-      only one charged; innocents pass through isolation unbilled.
+    Owns the cache lookups, the retry budget, the backoff clock, the
+    watchdog, the pool lifecycle and the journal trail, in one
+    scheduling loop for every job count.  Tasks fan out over a
+    :class:`ProcessPoolExecutor`, or an :class:`_InlineExecutor` at
+    ``jobs=1``.  A watchdog times out hung tasks by replacing the
+    whole pool (a hung worker cannot be cancelled), charging only the
+    overdue task's budget.  When a worker dies outright the pool
+    breaks for every in-flight future without naming a culprit, so
+    the implicated tasks are re-run **solo**: a task that breaks the
+    pool while running alone is the crasher beyond doubt and is the
+    only one charged; innocents pass through isolation unbilled.
     """
 
-    def __init__(self, pending: List[_LevelTask], executor: ExecutorConfig,
+    def __init__(self, executor: ExecutorConfig,
                  cache: Optional[ResultCache], tracer,
                  journal: Optional[SweepJournal],
                  plan: Optional[FaultPlan]):
-        self.pending = pending
         self.executor = executor
         self.cache = cache
         self.tracer = tracer
@@ -933,6 +889,18 @@ class _Scheduler:
             self.journal.record(event, key=task.cache_key, name=task.name,
                                 tp_percent=task.tp_percent, **data)
 
+    def serve_cached(self, task: _LevelTask, resumed: Set[str]) -> bool:
+        """Serve ``task`` from the cache; False when it must run."""
+        stored = self.cache.get(task.cache_key) if self.cache else None
+        if stored is None:
+            return False
+        self.summaries[(task.name, task.tp_percent)] = _cache_hit(stored)
+        now = self.tracer.now()
+        self.tracer.record_span(f"cache_hit:{task.label}", now, now)
+        self._journal_event("task_resumed" if task.cache_key in resumed
+                            else "task_cached", task)
+        return True
+
     def _success(self, task: _LevelTask, attempt: int,
                  summary: FlowSummary, t_submit: float,
                  t_done: float, mono_elapsed: float = 0.0) -> None:
@@ -971,7 +939,7 @@ class _Scheduler:
             self.cache.write_failures += 1
             self.cache.read_only = True
             obs.counter("cache.write_failed")
-            obs.inc("repro_cache_events_total", 1, event="write_failed")
+            obs.inc("repro_cache_write_failures_total")
             self._journal_event("cache_write_failed", task,
                                 error=f"{type(exc).__name__}: {exc}")
             return
@@ -1032,73 +1000,31 @@ class _Scheduler:
         self._journal_event("task_aborted", task,
                             cancelled=self.cancelled)
 
-    # -- serial mode ----------------------------------------------------
-    def _backoff_sleep(self, delay: float) -> None:
-        """Sleep a retry backoff, polling for cancellation so a
-        cancelled sweep does not sit out a 30 s backoff first."""
-        if self.executor.cancel_check is None:
-            time.sleep(delay)
-            return
-        deadline = time.monotonic() + delay
-        while time.monotonic() < deadline:
-            self._check_cancel()
-            if self.cancelled:
-                return
-            time.sleep(min(0.05, max(0.0,
-                                     deadline - time.monotonic())))
-
-    def run_serial(self) -> None:
-        """Inline execution with retry/backoff (no watchdog)."""
-        for task in self.pending:
-            self._check_cancel()
-            if self.aborted:
-                self._abort_cell(task)
-                continue
-            attempt = 0
-            while True:
-                prepared = _prepare_attempt(task, attempt,
-                                            self.executor.derive_seeds)
-                self._journal_event("task_start", task, attempt=attempt)
-                t_submit = time.time()
-                t_mono = time.monotonic()
-                try:
-                    summary = _run_level(prepared)
-                except Exception as exc:
-                    delay = self._on_task_error(task, attempt, exc)
-                    if delay is None:
-                        break
-                    self._backoff_sleep(delay)
-                    self._check_cancel()
-                    if self.aborted:
-                        self._abort_cell(task)
-                        break
-                    attempt += 1
-                    continue
-                self._success(task, attempt, summary, t_submit, time.time(),
-                              time.monotonic() - t_mono)
-                break
-
-    # -- parallel mode --------------------------------------------------
-    def _new_pool(self) -> ProcessPoolExecutor:
+    # -- the scheduling loop --------------------------------------------
+    def _new_pool(self) -> Executor:
+        if self.executor.jobs <= 1:
+            return _InlineExecutor()
         return ProcessPoolExecutor(max_workers=self.workers)
 
-    def _submit(self, pool: ProcessPoolExecutor, in_flight: Dict,
+    def _submit(self, pool: Executor, in_flight: Dict,
                 task: _LevelTask, attempt: int, solo: bool) -> None:
-        prepared = _prepare_attempt(task, attempt,
-                                    self.executor.derive_seeds)
         self._journal_event("task_start", task, attempt=attempt,
                             solo=solo)
-        future = pool.submit(_run_level, prepared)
-        in_flight[future] = (task, attempt, time.time(),
-                             time.monotonic(), solo)
+        t_wall, t_mono = time.time(), time.monotonic()
+        # Faults and journals key on the attempt number.
+        future = pool.submit(_run_level, replace(task, attempt=attempt))
+        in_flight[future] = (task, attempt, t_wall, t_mono, solo)
 
-    def run_parallel(self) -> None:
-        """Pool execution with retries, watchdog, and crash isolation."""
-        for task in self.pending:
-            _check_picklable(task)
-        self.workers = min(self.executor.jobs, len(self.pending))
+    def run(self, pending: List[_LevelTask]) -> None:
+        """Run ``pending`` with retries, watchdog and crash isolation."""
+        if not pending:
+            return
+        if self.executor.jobs > 1:
+            for task in pending:
+                _check_picklable(task)
+        self.workers = min(max(1, self.executor.jobs), len(pending))
         timeout = self.executor.task_timeout_s
-        queue: deque = deque((task, 0) for task in self.pending)
+        queue: deque = deque((task, 0) for task in pending)
         isolate: deque = deque()  # suspects to re-run solo
         waiting: List[Tuple[float, _LevelTask, int, bool]] = []
         in_flight: Dict = {}
@@ -1299,9 +1225,9 @@ def run_sweeps_report(
     started_at = time.time()
     started_mono = time.monotonic()
     # Correlation key for the structured event log: every event this
-    # sweep emits (and, via bind, every flow stage event on the serial
-    # path) carries the same run_id.  Pure telemetry — never part of a
-    # cache key.
+    # sweep emits (and, via bind, every flow stage event of an inline
+    # jobs=1 run) carries the same run_id.  Pure telemetry — never
+    # part of a cache key.
     run_id = uuid.uuid4().hex[:12]
     with obs.bind(run_id=run_id):
         obs.emit("sweep_start", jobs=executor.jobs, cells=len(tasks),
@@ -1334,36 +1260,16 @@ def run_sweeps_report(
                     ],
                 )
 
-            summaries: Dict[Tuple[str, float], FlowSummary] = {}
-            pending: List[_LevelTask] = []
-            for task in tasks:
-                stored = cache.get(task.cache_key) if cache else None
-                if stored is not None:
-                    summaries[(task.name, task.tp_percent)] = _cache_hit(stored)
-                    now = tracer.now()
-                    tracer.record_span(f"cache_hit:{task.label}", now, now)
-                    if journal is not None:
-                        event = ("task_resumed" if task.cache_key in resumed
-                                 else "task_cached")
-                        journal.record(event, key=task.cache_key,
-                                       name=task.name,
-                                       tp_percent=task.tp_percent)
-                else:
-                    pending.append(task)
+            scheduler = _Scheduler(executor, cache, tracer, journal, plan)
+            pending = [task for task in tasks
+                       if not scheduler.serve_cached(task, resumed)]
             if cache is not None:
                 tracer.counter("cache_hits", cache.hits)
                 tracer.counter("cache_misses", cache.misses)
                 tracer.counter("cache_corrupt", cache.corrupt)
                 obs.inc("repro_cells_total", cache.hits, outcome="cached")
-
-            scheduler = _Scheduler(pending, executor, cache, tracer,
-                                   journal, plan)
-            if pending:
-                if executor.jobs <= 1:
-                    scheduler.run_serial()
-                else:
-                    scheduler.run_parallel()
-            summaries.update(scheduler.summaries)
+            scheduler.run(pending)
+            summaries = scheduler.summaries
             failures = sorted(scheduler.failures,
                               key=lambda f: (f.name, f.tp_percent))
 
@@ -1464,7 +1370,7 @@ def run_sweep(
     config: ExperimentConfig,
     executor: Optional[ExecutorConfig] = None,
 ) -> ExperimentResult:
-    """Run one circuit's sweep through the parallel executor.
+    """Run one circuit's sweep through the executor.
 
     Drop-in for :func:`~repro.core.experiment.run_experiment`: the
     returned object builds the same Table 1/2/3 rows, with

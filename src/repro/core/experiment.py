@@ -164,7 +164,11 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the full sweep for one circuit."""
+    """Run the full sweep for one circuit, serially in this process.
+
+    The reference the golden and bit-identity tests compare the
+    executor against; programs sweep through :func:`repro.api.sweep`.
+    """
     library = config.library or cmos130()
     result = ExperimentResult(name=config.name)
     for pct in config.tp_percents:

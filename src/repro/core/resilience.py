@@ -349,7 +349,7 @@ def read_journal(path) -> List[Dict[str, Any]]:
 def completed_keys(events: Iterable[Dict[str, Any]]) -> Set[str]:
     """Cache keys of cells a journal records as completed.
 
-    A later failure for the same key (a re-run with ``use_cache`` off,
+    A later failure for the same key (a re-run without the cache,
     say) does not un-complete it: the cache entry either exists — and
     resume serves it — or it misses and the cell re-runs anyway.
     """

@@ -184,6 +184,7 @@ class LintError(ValueError):
 
     def __init__(self, report: "LintReport", context: str = "lint"):
         self.report = report
+        self.context = context
         self.diagnostics = report.error_diagnostics
         shown = "; ".join(
             f"[{d.rule_id}] {d.message}" for d in self.diagnostics[:5]
@@ -194,6 +195,11 @@ class LintError(ValueError):
             f"{context} failed: {len(self.diagnostics)} error(s): "
             f"{shown}{more}"
         )
+
+    def __reduce__(self):
+        # Rebuild from the report, not the message: a sweep worker's
+        # LintError must unpickle intact in the parent process.
+        return type(self), (self.report, self.context)
 
 
 @dataclass

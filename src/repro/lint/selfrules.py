@@ -66,7 +66,6 @@ CACHE_KEY_FUNCTIONS = frozenset({
     "flow_cache_key",
     "config_fingerprint",
     "circuit_structural_hash",
-    "derive_seed",
     "_canonical",
 })
 

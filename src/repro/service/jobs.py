@@ -223,7 +223,7 @@ class JobManager:
         cache_max_bytes: LRU size cap of the shared cache (None =
             unbounded).
         use_cache: Master cache switch (tests force fresh runs with
-            False).
+            False); off, jobs run without a cache directory.
         build_experiment: Injection point mapping a request to an
             :class:`~repro.core.experiment.ExperimentConfig`; defaults
             to the exact resolution :func:`repro.api.sweep` uses, which
@@ -617,8 +617,7 @@ class JobManager:
         request = job.request
         return ExecutorConfig(
             jobs=request.jobs,
-            cache_dir=str(self.cache_dir),
-            use_cache=self.use_cache,
+            cache_dir=str(self.cache_dir) if self.use_cache else None,
             cache_max_bytes=self.cache_max_bytes,
             retries=request.retries,
             task_timeout_s=request.task_timeout_s,
@@ -709,8 +708,8 @@ class JobManager:
                     report=(report_to_wire(report)
                             if job.state == JOB_DONE else None))
             if report.cache_write_failures:
-                self.registry.inc("repro_cache_write_failures_total",
-                                  report.cache_write_failures)
+                # The executor already counted each failed write; the
+                # job only flips the daemon into degraded mode.
                 self._enter_degraded_mode(
                     f"cache write failed during job {job.id} "
                     f"({report.cache_write_failures} failure(s))")

@@ -12,6 +12,7 @@ contract needs (CI runs this file as its public-API lint step).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import json
 from pathlib import Path
@@ -20,7 +21,13 @@ import pytest
 
 import repro
 from repro import api
-from repro.core import FlowConfig
+from repro.core import (
+    ExperimentConfig,
+    FlowConfig,
+    FlowSummary,
+    run_experiment,
+)
+from repro.service.protocol import canonical_result_bytes
 
 SNAPSHOT_PATH = Path(__file__).parent / "golden" / "api_surface.json"
 
@@ -121,9 +128,34 @@ def test_api_run_accepts_circuit_names_and_options():
 
 
 def test_api_sweep_serial_matches_experiment():
-    result = repro.sweep("s38417", scale=0.012,
-                         tp_percents=(0.0, 5.0),
-                         run_atpg_phase=False)
-    assert sorted(result.runs) == [0.0, 5.0]
-    rows = result.table2_rows()
-    assert [r["tp_percent"] for r in rows] == [0.0, 5.0]
+    """One sweep path: every job count reproduces the reference."""
+    spec = api.CIRCUITS["s38417"]
+    reference = run_experiment(ExperimentConfig(
+        name="s38417",
+        circuit_factory=lambda: spec.factory(scale=0.012),
+        tp_percents=(0.0, 5.0),
+        flow=FlowConfig(run_atpg_phase=False).replace(
+            **spec.flow_defaults),
+    ))
+    for jobs in (1, 2):
+        result = repro.sweep("s38417", scale=0.012,
+                             tp_percents=(0.0, 5.0), jobs=jobs,
+                             run_atpg_phase=False)
+        assert sorted(result.runs) == [0.0, 5.0]
+        rows = result.table2_rows()
+        assert [r["tp_percent"] for r in rows] == [0.0, 5.0]
+        assert all(isinstance(run, FlowSummary)
+                   for run in result.runs.values())
+        assert (canonical_result_bytes(result)
+                == canonical_result_bytes(reference)), jobs
+
+
+def test_no_cache_flag_forces_fresh_runs(tmp_path):
+    sweep = functools.partial(
+        api.sweep, "s38417", scale=0.01, tp_percents=(0.0,),
+        cache_dir=str(tmp_path), run_layout_phase=False,
+        atpg={"backtrack_limit": 24, "max_deterministic": 60})
+    sweep()
+    assert sweep().runs[0.0].from_cache  # the cache is warm ...
+    # ... but use_cache=False ignores it.
+    assert not sweep(use_cache=False).runs[0.0].from_cache

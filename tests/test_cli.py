@@ -103,6 +103,30 @@ def test_sweep_resume_completes_after_chaos(tmp_path, capsys):
     assert "FAILED" not in out
 
 
+def _undriven_s38417(scale):
+    """s38417 with one undriven net (picklable, for --jobs 2)."""
+    from repro.circuits import s38417_like
+
+    circuit = s38417_like(scale=scale)
+    circuit.add_net("orphan_probe")
+    return circuit
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_lint_failure_exits_4_at_every_job_count(jobs, monkeypatch,
+                                                       capsys):
+    from repro import api
+
+    spec = api.CIRCUITS["s38417"]
+    monkeypatch.setitem(api.CIRCUITS, "s38417", api.CircuitSpec(
+        _undriven_s38417, spec.flow_defaults))
+    rc = main(["sweep", "--circuit", "s38417", "--scale", "0.01",
+               "--tp-percents", "0", "--lint", "--jobs", jobs])
+    assert rc == 4
+    out = capsys.readouterr().out
+    assert "[NL001]" in out and "\naborted: " in out
+
+
 def test_selflint_command_gates_on_baseline(tmp_path, capsys):
     # The real tree against the committed baseline: clean, exit 0.
     assert main(["selflint"]) == 0

@@ -1,7 +1,7 @@
 """Tests for the parallel sweep executor and its result cache.
 
 The headline test is the determinism regression gate: the s38417-small
-sweep run serially (the reference semantics) and through the executor
+sweep run by the reference ``run_experiment`` and through the executor
 with ``jobs=4`` must produce *exactly* equal Table 1/2/3 rows — not
 approximately equal: the executor's contract is bit-identical results
 at any job count.
@@ -15,6 +15,7 @@ import pickle
 
 import pytest
 
+from repro import obs
 from repro.atpg import AtpgConfig
 from repro.circuits import s38417_like
 from repro.core import (
@@ -26,16 +27,17 @@ from repro.core import (
     SweepExecutionError,
     circuit_structural_hash,
     config_fingerprint,
-    derive_seed,
     flow_cache_key,
     run_experiment,
     run_flow,
     run_sweep,
     run_sweeps,
+    run_sweeps_report,
     summarize,
 )
 from repro.core import executor as executor_mod
 from repro.library import cmos130
+from repro.lint import LintError
 
 #: Cheap ATPG knobs: full flow semantics at a fraction of the runtime.
 FAST_ATPG = AtpgConfig(seed=7, backtrack_limit=24, max_deterministic=60,
@@ -127,16 +129,19 @@ def test_warm_cache_reruns_no_flow_stage(warm_result):
         assert sum(run.cached_stage_seconds.values()) > 0.0
 
 
-def test_no_cache_flag_forces_fresh_runs(sweep_cache_dir):
-    config = small_experiment()
-    # Layout-off, single level: cheap, and its key differs from the
-    # cached full-flow levels anyway.
-    config.tp_percents = (0.0,)
-    config.flow = FlowConfig(atpg=FAST_ATPG, run_layout_phase=False)
-    executor = ExecutorConfig(jobs=1, cache_dir=sweep_cache_dir,
-                              use_cache=False)
-    result = run_sweep(config, executor)
-    assert not result.runs[0.0].from_cache
+def test_warm_cells_reach_the_event_log(parallel_result,
+                                        sweep_cache_dir):
+    log = obs.EventLog(level="debug", memory=True)
+    previous = obs.install_event_log(log)
+    try:
+        run_sweep(small_experiment(),
+                  ExecutorConfig(jobs=1, cache_dir=sweep_cache_dir))
+    finally:
+        obs.install_event_log(previous)
+    cached = [e for e in log.events if e["event"] == "task_cached"]
+    assert sorted(e["cell"] for e in cached) == [
+        f"s38417@{pct:g}%" for pct in LEVELS]
+    assert all(e["run_id"] for e in cached)
 
 
 # ----------------------------------------------------------------------
@@ -178,10 +183,6 @@ def test_cache_key_covers_circuit_config_and_mode():
     key = flow_cache_key(circuit, config, lib)
     assert key == flow_cache_key(s38417_like(scale=SCALE), config, lib)
     assert key != flow_cache_key(circuit, FlowConfig(tp_percent=2.0), lib)
-    assert key != flow_cache_key(circuit, config, lib, extra="derived")
-    seed = derive_seed(key)
-    assert 0 <= seed < 2 ** 63
-    assert seed == derive_seed(key)
 
 
 # ----------------------------------------------------------------------
@@ -342,6 +343,30 @@ def test_failed_levels_resume_from_cache(tmp_path, monkeypatch):
     assert not result.runs[2.0].from_cache
 
 
+def _undriven_s38417():
+    """A picklable factory whose netlist has one undriven net."""
+    circuit = s38417_like(scale=0.01)
+    circuit.add_net("orphan_probe")
+    return circuit
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_lint_failure_is_reported_once_at_every_job_count(jobs):
+    config = ExperimentConfig(
+        name="s38417",
+        circuit_factory=_undriven_s38417,
+        tp_percents=(0.0, 2.0),
+        flow=FlowConfig(lint=True, run_layout_phase=False,
+                        run_atpg_phase=False),
+    )
+    report = run_sweeps_report([config], ExecutorConfig(jobs=jobs))
+    assert (report.retries, report.worker_crashes) == (0, 0)
+    assert [(f.error_type, f.attempts) for f in report.failures] \
+        == [("LintError", 1)] * 2
+    assert all(isinstance(f.exception, LintError)
+               for f in report.failures)
+
+
 def test_unpicklable_factory_fails_with_pointed_message():
     config = ExperimentConfig(
         name="s38417",
@@ -354,7 +379,7 @@ def test_unpicklable_factory_fails_with_pointed_message():
 
 
 # ----------------------------------------------------------------------
-# Multi-circuit fan-out and derived seeding
+# Multi-circuit fan-out
 # ----------------------------------------------------------------------
 def test_run_sweeps_fans_out_whole_circuits():
     flow = FlowConfig(atpg=FAST_ATPG, run_layout_phase=False)
@@ -374,24 +399,6 @@ def test_run_sweeps_fans_out_whole_circuits():
     keys_a = {r.cache_key for r in results["tiny_a"].runs.values()}
     keys_b = {r.cache_key for r in results["tiny_b"].runs.values()}
     assert len(keys_a | keys_b) == 4  # every level's key is distinct
-
-
-def test_derived_seeds_stay_parallel_serial_identical():
-    def experiment():
-        return ExperimentConfig(
-            name="s38417",
-            circuit_factory=functools.partial(s38417_like, scale=0.01),
-            tp_percents=(0.0, 2.0),
-            flow=FlowConfig(atpg=FAST_ATPG, run_layout_phase=False),
-        )
-
-    serial = run_sweep(experiment(),
-                       ExecutorConfig(jobs=1, derive_seeds=True))
-    parallel = run_sweep(experiment(),
-                         ExecutorConfig(jobs=2, derive_seeds=True))
-    serial_rows = [r.test_metrics() for _, r in sorted(serial.runs.items())]
-    par_rows = [r.test_metrics() for _, r in sorted(parallel.runs.items())]
-    assert serial_rows == par_rows
 
 
 # ----------------------------------------------------------------------

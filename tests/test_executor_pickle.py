@@ -158,9 +158,11 @@ def test_old_executor_config_pickle_without_resilience_knobs():
 
 
 def test_old_executor_config_pickle_with_dropped_mp_context():
-    # ``mp_context`` was removed; pickles that still carry it load.
+    # ``mp_context``, ``derive_seeds`` and ``use_cache`` were removed;
+    # pickles that still carry them load.
     config = ExecutorConfig(jobs=4, cache_dir="/tmp/x")
-    config.__dict__["mp_context"] = "spawn"
+    config.__dict__.update(mp_context="spawn", derive_seeds=False,
+                           use_cache=True)
     old = roundtrip(config)
     assert old.jobs == 4 and old.cache_dir == "/tmp/x"
     assert old == ExecutorConfig(jobs=4, cache_dir="/tmp/x")

@@ -1,6 +1,7 @@
 """Tests for the static-analysis engine core: rules, reports, baseline."""
 
 import json
+import pickle
 
 import pytest
 
@@ -150,6 +151,19 @@ def test_raise_on_error_keeps_full_list_and_rule_ids():
     assert isinstance(err, ValueError)
     assert len(err.diagnostics) == 8
     assert err.report is report
+
+
+def test_lint_error_survives_a_pickle_round_trip():
+    # A sweep worker's lint-gate failure crosses back to the parent.
+    report = LintReport(diagnostics=[_diag("T001", ERROR, "undriven",
+                                           obj="n1")])
+    err = LintError(report, context="lint gate 'stage0'")
+    clone = pickle.loads(pickle.dumps(err))
+    assert isinstance(clone, LintError)
+    assert str(clone) == str(err)
+    assert clone.context == err.context
+    assert clone.report == report
+    assert [d.rule_id for d in clone.diagnostics] == ["T001"]
 
 
 def test_raise_on_error_noop_when_clean():

@@ -15,7 +15,7 @@ import pytest
 
 from repro import chaos, obs
 from repro.chaos import FaultPlan, FaultSpec, InjectedFault
-from repro.core.executor import ResultCache, derive_seed
+from repro.core.executor import ResultCache
 from repro.core.resilience import (
     RetryPolicy,
     SweepJournal,
@@ -186,23 +186,6 @@ class TestJournal:
         with SweepJournal(path, resume=False) as journal:
             journal.record("sweep_start")
         assert completed_keys(read_journal(path)) == set()
-
-
-# ----------------------------------------------------------------------
-# Retry seed derivation
-# ----------------------------------------------------------------------
-class TestDeriveSeed:
-    def test_attempt_zero_matches_historical_derivation(self):
-        key = "ab" * 32
-        assert derive_seed(key) == derive_seed(key, attempt=0)
-        assert derive_seed(key) == int(key[:16], 16) & 0x7FFFFFFFFFFFFFFF
-
-    def test_attempts_decorrelate_deterministically(self):
-        key = "cd" * 32
-        seeds = [derive_seed(key, attempt=n) for n in range(4)]
-        assert len(set(seeds)) == 4  # distinct per attempt
-        assert seeds == [derive_seed(key, attempt=n) for n in range(4)]
-        assert all(0 <= s < 2 ** 63 for s in seeds)
 
 
 # ----------------------------------------------------------------------

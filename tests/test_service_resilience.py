@@ -215,6 +215,8 @@ def test_cache_write_failure_degrades_but_jobs_succeed(tmp_path):
                 f"{report.cache_write_failures}") in prom
         assert metrics["cache_write_failures"] \
             == report.cache_write_failures
+        # ... once: the event counter does not count it a second time.
+        assert 'event="write_failed"' not in prom
 
         # The daemon keeps serving jobs on its read-only cache.
         after = submit(client, (1.5,))
