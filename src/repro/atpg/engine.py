@@ -294,6 +294,16 @@ def _abort_recovery_phase(
     return recovered
 
 
+def _aborted_in_view(fault_list: FaultList,
+                     fsim: FaultSimulator) -> List[Fault]:
+    """Aborted class representatives the simulator can target."""
+    return [
+        rep for rep in fault_list.classes()
+        if fault_list.status[rep] is FaultStatus.ABORTED
+        and fsim.in_view(rep)
+    ]
+
+
 def _deterministic_phase(
     circuit: Circuit,
     view: CombView,
@@ -314,6 +324,12 @@ def _deterministic_phase(
     fault density, the quantity test points raise, directly sets the
     final pattern count.
     """
+    targets = [f for f in fault_list.targets() if fsim.in_view(f)]
+    limit = config.max_deterministic
+    if not targets[:limit] and not (
+            config.second_chance_factor > 1
+            and _aborted_in_view(fault_list, fsim)):
+        return 0, 0, 0  # nothing to search: skip the PODEM set-up
     scoap = compute_scoap(view)
     cop = compute_cop(view)
     podem = PodemEngine(
@@ -326,12 +342,7 @@ def _deterministic_phase(
     def hardness(fault: Fault) -> float:
         return cop.detection_probability(fault.net, fault.value)
 
-    targets = sorted(
-        (f for f in fault_list.targets() if fsim.in_view(f)),
-        key=hardness,
-    )
-    if config.max_deterministic is not None:
-        targets = targets[:config.max_deterministic]
+    targets = sorted(targets, key=hardness)[:limit]
 
     det_count = aborted = redundant = 0
     pending_block: List[int] = []
@@ -424,12 +435,7 @@ def _deterministic_phase(
     # budget.  Aborts are mostly heuristic lock-in, not hardness; a
     # deeper randomised search recovers a large share at bounded cost.
     if config.second_chance_factor > 1:
-        retry = [
-            rep for rep in fault_list.classes()
-            if fault_list.status[rep] is FaultStatus.ABORTED
-            and fsim.in_view(rep)
-        ]
-        for fault in retry:
+        for fault in _aborted_in_view(fault_list, fsim):
             if fault_list.status[fault] is not FaultStatus.ABORTED:
                 continue
             cube = podem.generate(

@@ -112,3 +112,23 @@ def test_scan_path_faults_pre_credited(atpg_result):
         if pin in ("TE", "TI", "CLK") and inst in c.instances:
             if c.instances[inst].is_sequential:
                 assert flist.status[fault] is not FaultStatus.UNDETECTED
+
+
+def test_no_podem_setup_without_targets(monkeypatch):
+    """A random-only run (no PODEM targets) builds no SCOAP, COP or
+    PODEM engine."""
+    from repro.atpg import engine
+    from repro.circuits import s38417_like
+    from repro.library import cmos130
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("PODEM set-up ran with nothing to target")
+
+    for name in ("compute_scoap", "compute_cop", "PodemEngine"):
+        monkeypatch.setattr(engine, name, refuse)
+    c = s38417_like(scale=0.015)
+    insert_scan(c, cmos130(), max_chain_length=50)
+    res = run_atpg(c, config=AtpgConfig(
+        seed=3, random_blocks=4, max_deterministic=0))
+    assert res.random_patterns_kept > 0
+    assert res.deterministic_patterns == res.aborted == res.redundant == 0
