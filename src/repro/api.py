@@ -229,7 +229,6 @@ def lint_netlist(
 
             insert_test_points(netlist, lib, TpiConfig(
                 n_test_points=n_tp,
-                pd_threshold=flow_config.pd_threshold,
                 exclude_nets=set(flow_config.exclude_nets),
             ))
         from repro.netlist.fanout import fix_electrical

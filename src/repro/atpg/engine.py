@@ -35,13 +35,25 @@ from repro.netlist.levelize import CombView, extract_comb_view
 from repro.testability.cop import compute_cop
 from repro.testability.scoap import compute_scoap
 
+#: Fault-simulate (and drop) after this many pending deterministic
+#: patterns (at most one 64-pattern block).  Smaller values compact
+#: harder but cost more simulation passes.
+FLUSH_EVERY = 16
+#: Secondary-target attempts per pattern before giving up.
+MERGE_ATTEMPTS = 24
+#: Consecutive merge failures that close a pattern.
+MERGE_FAIL_STREAK = 6
+
 
 @dataclass
 class AtpgConfig:
     """Knobs of an ATPG run.
 
+    Fault simulation runs in blocks of 64 patterns (the
+    :class:`~repro.atpg.simulator.BitSimulator` width) and the
+    reverse-order static compaction pass always runs.
+
     Attributes:
-        width: Patterns per fault-simulation block.
         random_blocks: Number of random-phase blocks.  The default (0)
             gives the *compact* flow of the paper's ATPG (Geuzebroek et
             al.): purely deterministic patterns with dynamic
@@ -51,31 +63,20 @@ class AtpgConfig:
             sensitivity to test points.
         backtrack_limit: PODEM abort threshold.
         seed: RNG seed (pattern fill and random phase).
-        static_compaction: Run the reverse-order pass.
         max_deterministic: Optional cap on PODEM targets (None = all).
-        flush_every: Fault-simulate (and drop) after this many pending
-            deterministic patterns.  Smaller values compact harder but
-            cost more simulation passes.
         abort_recovery_blocks: After the deterministic phase, spend up
             to this many random blocks on PODEM-aborted faults only;
             many aborts are search failures on random-detectable
             faults, and a handful of kept patterns recovers them.
     """
 
-    width: int = 64
     random_blocks: int = 0
     backtrack_limit: int = 96
     seed: int = 1
-    static_compaction: bool = True
     max_deterministic: Optional[int] = None
-    flush_every: int = 16
     abort_recovery_blocks: int = 48
     #: Secondary targets merged onto each pattern (dynamic compaction).
     merge_limit: int = 12
-    #: Secondary-target attempts per pattern before giving up.
-    merge_attempts: int = 24
-    #: Consecutive merge failures that close a pattern.
-    merge_fail_streak: int = 6
     #: Budget multiplier of the second-chance pass over aborted faults.
     second_chance_factor: int = 6
 
@@ -142,7 +143,7 @@ def run_atpg(
     if fault_list is None:
         fault_list = build_fault_list(circuit, view)
 
-    sim = BitSimulator(view, width=config.width)
+    sim = BitSimulator(view)
     fsim = FaultSimulator(sim)
     inputs = list(view.input_nets)
     n_inputs = len(inputs)
@@ -177,7 +178,7 @@ def run_atpg(
         sp.counter("recovered_faults", recovered)
 
     # ------------------------------------------------------------- 3
-    if config.static_compaction and patterns:
+    if patterns:
         with obs.span("static_compaction") as sp:
             sp.gauge("patterns_before", len(patterns))
             detected_targets = [
@@ -366,7 +367,6 @@ def _deterministic_phase(
         obs.counter("dropped_by_simulation", len(detections))
         pending_block.clear()
 
-    flush_threshold = max(1, min(config.flush_every, sim.width))
     cursor = 0
     while cursor < len(targets):
         fault = targets[cursor]
@@ -395,8 +395,8 @@ def _deterministic_phase(
         while (
             scan < len(targets)
             and merged < config.merge_limit
-            and failures < config.merge_fail_streak
-            and attempts < config.merge_attempts
+            and failures < MERGE_FAIL_STREAK
+            and attempts < MERGE_ATTEMPTS
         ):
             candidate = targets[scan]
             scan += 1
@@ -427,7 +427,7 @@ def _deterministic_phase(
             else:
                 pattern &= ~(1 << j)
         pending_block.append(pattern)
-        if len(pending_block) >= flush_threshold:
+        if len(pending_block) >= FLUSH_EVERY:
             flush_block()
     flush_block()
 
@@ -465,7 +465,7 @@ def _deterministic_phase(
                 else:
                     pattern &= ~(1 << j)
             pending_block.append(pattern)
-            if len(pending_block) >= flush_threshold:
+            if len(pending_block) >= FLUSH_EVERY:
                 flush_block()
         flush_block()
     return det_count, aborted, redundant

@@ -15,8 +15,8 @@ Subcommands::
     python -m repro result j0123abcd4567
     python -m repro cancel j0123abcd4567
 
-    python -m repro trace merge --out merged.json traces/
-    python -m repro trace summarize merged.json
+    python -m repro sweep --circuit s38417 --jobs 2 --trace sweep.json
+    python -m repro trace summarize sweep.json
 
 Every subcommand prints the corresponding paper quantities (Table 1/2/3
 rows, coverage curves, or Figure 3 files).  Scales are fractions of the
@@ -217,7 +217,6 @@ def cmd_sweep(args) -> int:
     """
     cache_dir = None if args.no_cache else args.cache_dir
     chaos_plan = FaultPlan.load(args.chaos) if args.chaos else None
-    want_trace = bool(args.trace or args.trace_dir)
     print(f"[executor] jobs={args.jobs} "
           f"cache={cache_dir or 'off'} retries={args.retries}"
           + (f" timeout={args.task_timeout:g}s"
@@ -225,13 +224,13 @@ def cmd_sweep(args) -> int:
           + (" resume" if args.resume else "")
           + (" fail-fast" if args.fail_fast else "")
           + (f" chaos={args.chaos}" if args.chaos else ""))
-    scope = (obs.tracing(label=f"sweep:{args.circuit}") if want_trace
+    scope = (obs.tracing(label=f"sweep:{args.circuit}") if args.trace
              else contextlib.nullcontext())
     with scope as tracer:
         report = api.sweep_report(
             args.circuit, scale=args.scale, tp_percents=args.tp_percents,
             jobs=args.jobs, cache_dir=cache_dir,
-            cache_max_bytes=args.cache_max_bytes, trace=want_trace,
+            cache_max_bytes=args.cache_max_bytes, trace=bool(args.trace),
             retries=args.retries, task_timeout_s=args.task_timeout,
             resume=args.resume, fail_fast=args.fail_fast,
             chaos=chaos_plan, **_flow_overrides(args))
@@ -239,13 +238,6 @@ def cmd_sweep(args) -> int:
         if isinstance(failure.exception, LintError):
             return _report_lint_abort(failure.exception)
     result = report.results[args.circuit]
-    traces = []
-    if want_trace:
-        # Every level's flow trace plus the parent's scheduling trace
-        # (queue waits, cache counters) merge into one timeline.
-        traces = [run.trace for run in result.runs.values()
-                  if run.trace is not None]
-        traces.append(tracer.trace())
     cached = sorted(
         pct for pct, run in result.runs.items() if run.from_cache
     )
@@ -260,20 +252,11 @@ def cmd_sweep(args) -> int:
         print(f"[executor] journal: {report.journal_path}")
     _print_tables(result)
     if args.trace:
-        obs.write_chrome_trace(args.trace, traces)
+        # Every level's flow trace plus the parent's scheduling trace
+        # (queue waits, cache counters) merge into one timeline.
+        traces = [run.trace for run in result.runs.values()]
+        obs.write_chrome_trace(args.trace, traces + [tracer.trace()])
         print(f"\nwrote trace to {args.trace}")
-    if args.trace_dir and traces:
-        os.makedirs(args.trace_dir, exist_ok=True)
-        for i, trace in enumerate(traces):
-            label = "".join(c if c.isalnum() else "_"
-                            for c in (trace.label or "trace"))
-            path = os.path.join(args.trace_dir,
-                                f"{i:03d}_{label}.trace.json")
-            obs.write_trace_file(path, [trace])
-        print(f"\nwrote {len(traces)} raw trace file(s) to "
-              f"{args.trace_dir}")
-        print(f"  merge: python -m repro trace merge "
-              f"--out merged.json {args.trace_dir}")
     if report.failures:
         print(f"\nFAILED cells ({len(report.failures)}; tables above "
               "have holes at these levels)")
@@ -519,58 +502,27 @@ def cmd_cancel(args) -> int:
     return 0
 
 
-def _invalid_trace(what: str, problems: list) -> int:
-    print(f"{what} is invalid:", file=sys.stderr)
-    for problem in problems:
-        print(f"  {problem}", file=sys.stderr)
-    return 1
-
-
 def cmd_trace(args) -> int:
-    """Merge raw trace files or summarize a merged Chrome trace."""
-    if args.trace_command == "merge":
-        files = obs.collect_trace_files(args.inputs)
-        traces = []
-        for path in files:
-            try:
-                traces.extend(obs.read_trace_file(path))
-            except (OSError, ValueError) as exc:
-                print(f"cannot read {path}: {exc}", file=sys.stderr)
-                return 1
-        if not traces:
-            print("no traces found in: " + ", ".join(args.inputs),
-                  file=sys.stderr)
-            return 1
-        merged = obs.chrome_trace(traces)
-        problems = obs.validate_chrome_trace(merged)
-        if problems:
-            return _invalid_trace("merged trace", problems)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(merged, handle, indent=1)
-        pids = {e["pid"] for e in merged["traceEvents"]}
-        print(f"merged {len(traces)} trace(s) from {len(files)} "
-              f"file(s) into {args.out} "
-              f"({len(pids)} process track(s), "
-              f"{merged['otherData']['clock']} clock)")
-        return 0
-    # summarize: accept merged Chrome objects and raw bundles alike.
+    """Summarize Chrome trace files (``--trace`` output, a daemon job's
+    stored trace) as per-track span tables."""
     for path in args.inputs:
         if len(args.inputs) > 1:
             print(f"== {path} ==")
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 obj = json.load(handle)
-            if isinstance(obj, dict) and "traceEvents" in obj:
-                problems = obs.validate_chrome_trace(obj)
-                if problems:
-                    return _invalid_trace(path, problems)
-                print(obs.summarize_merged(obj))
-            else:
-                for trace in obs.read_trace_file(path):
-                    print(obs.format_trace_summary(trace))
+            if not isinstance(obj, dict) or "traceEvents" not in obj:
+                raise ValueError("not a Chrome trace (no 'traceEvents')")
         except (OSError, ValueError) as exc:
             print(f"cannot read {path}: {exc}", file=sys.stderr)
             return 1
+        problems = obs.validate_chrome_trace(obj)
+        if problems:
+            print(f"{path} is invalid:", file=sys.stderr)
+            for problem in problems:
+                print(f"  {problem}", file=sys.stderr)
+            return 1
+        print(obs.summarize_merged(obj))
     return 0
 
 
@@ -653,10 +605,6 @@ def main(argv=None) -> int:
                          help="write a merged Chrome trace-event JSON "
                               "of all levels (and the executor's "
                               "scheduling) to PATH")
-    p_sweep.add_argument("--trace-dir", default=None, metavar="DIR",
-                         help="write each recorded trace as a raw "
-                              "*.trace.json file in DIR, mergeable "
-                              "later with 'repro trace merge'")
     p_sweep.add_argument("--placer", type=_placer_name, default=None,
                          metavar="ENGINE",
                          help="global-placement engine (quadratic, "
@@ -827,27 +775,15 @@ def main(argv=None) -> int:
     p_cancel.set_defaults(func=cmd_cancel)
 
     p_trace = sub.add_parser(
-        "trace", help="merge or summarize recorded trace files"
+        "trace", help="summarize recorded Chrome trace files"
     )
     trace_sub = p_trace.add_subparsers(dest="trace_command",
                                        required=True)
-    p_merge = trace_sub.add_parser(
-        "merge", help="stitch raw *.trace.json files (or directories "
-                      "of them) into one Chrome trace"
-    )
-    p_merge.add_argument("inputs", nargs="+", metavar="PATH",
-                         help="raw trace files or directories "
-                              "containing *.trace.json")
-    p_merge.add_argument("--out", required=True, metavar="PATH",
-                         help="write the merged Chrome trace here")
-    p_merge.set_defaults(func=cmd_trace)
     p_summarize = trace_sub.add_parser(
-        "summarize", help="per-track span tables of a merged Chrome "
-                          "trace (or raw trace bundle)"
+        "summarize", help="per-track span tables of a Chrome trace"
     )
     p_summarize.add_argument("inputs", nargs="+", metavar="PATH",
-                             help="merged Chrome traces or raw trace "
-                                  "bundles")
+                             help="Chrome trace files")
     p_summarize.set_defaults(func=cmd_trace)
 
     args = parser.parse_args(argv)

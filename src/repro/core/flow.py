@@ -120,7 +120,6 @@ class FlowConfig:
             ``max_chain_length``.
         atpg: ATPG configuration.
         sta: STA configuration.
-        pd_threshold: TPI hard-fault threshold.
         exclude_nets: Timing-aware TPI exclusion set (Section 5).
             Stored as a ``frozenset`` (any iterable is accepted and
             normalised), so a ``FlowConfig`` shared between runs can
@@ -129,11 +128,11 @@ class FlowConfig:
         run_atpg_phase: Generate patterns (Table 1 needs it; Tables 2-3
             do not).
         run_layout_phase: Run placement/route/extraction/STA.
-        validate_netlist: Audit the netlist between steps.
         lint: Run the full netlist/DFT lint pack as flow gates: once
             after DFT insertion (stage 0), once before routing, and —
             scoped to the dirty set — after every hold-fix ECO round.
-            Widens ``validate_netlist`` (structural checks only) with
+            Widens the structural audit that always runs between
+            steps (:func:`repro.netlist.validate.validate`) with
             combinational-loop, scan-chain and clock-domain audits;
             any error aborts the run with
             :class:`repro.lint.LintError`.  Reports land in
@@ -168,11 +167,9 @@ class FlowConfig:
     n_chains: Optional[int] = None
     atpg: AtpgConfig = field(default_factory=AtpgConfig)
     sta: StaConfig = field(default_factory=StaConfig)
-    pd_threshold: float = 1.0 / 4096.0
     exclude_nets: frozenset = frozenset()
     run_atpg_phase: bool = True
     run_layout_phase: bool = True
-    validate_netlist: bool = True
     lint: bool = False
     fix_holds: bool = True
     hold_fix_iterations: int = 3
@@ -395,7 +392,6 @@ def run_flow(circuit: Circuit, library: Library,
         if n_tp > 0:
             result.tpi = insert_test_points(circuit, library, TpiConfig(
                 n_test_points=n_tp,
-                pd_threshold=config.pd_threshold,
                 exclude_nets=set(config.exclude_nets),
             ))
         result.chains = insert_scan(
@@ -409,8 +405,7 @@ def run_flow(circuit: Circuit, library: Library,
         sp.gauge("test_points", n_tp)
         sp.gauge("scan_chains", result.chains.n_chains)
     _record_stage(result, "tpi_scan", clock() - t0)
-    if config.validate_netlist:
-        validate(circuit).raise_on_error()
+    validate(circuit).raise_on_error()
     if config.lint:
         # Stage-0 gate: the freshly DFT-prepared netlist must pass the
         # full pack (loops, chain continuity/balance, clock domains)
@@ -515,8 +510,7 @@ def _layout_phase(circuit: Circuit, library: Library,
         if new_buffers:
             placer.eco_place(circuit, placement, new_buffers, hints=hints)
         sp.counter("clock_buffers", len(new_buffers))
-        if config.validate_netlist:
-            validate(circuit).raise_on_error()
+        validate(circuit).raise_on_error()
         if config.lint:
             # Pre-route gate: last full-pack audit before routing, so a
             # netlist corrupted by the ECO / CTS edits above is caught
@@ -614,8 +608,7 @@ def _layout_phase(circuit: Circuit, library: Library,
     # would otherwise occupy.  Fillers have no pins, so routing and
     # timing are unaffected; only the area census reads them.
     result.filler = insert_fillers(circuit, placement, library)
-    if config.validate_netlist:
-        validate(circuit).raise_on_error()
+    validate(circuit).raise_on_error()
 
 
 def _fix_hold_violations(circuit: Circuit, library: Library,

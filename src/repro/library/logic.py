@@ -1,15 +1,18 @@
 """Logic-function trees for library cells.
 
 Every combinational cell carries a :class:`LogicExpr` per output pin.
-The same tree drives three evaluators:
+The same tree drives every evaluator of a cell:
 
-* :meth:`LogicExpr.eval2` — 64-way bit-parallel two-valued simulation on
-  numpy ``uint64`` words (logic simulation, fault simulation).
-* :meth:`LogicExpr.eval3` — three-valued (0/1/X) simulation using the
-  dual-rail encoding ``(ones, zeros)`` where a signal is X when neither
-  bit is set (PODEM implication, unknown handling).
+* :meth:`LogicExpr.eval2` — bit-parallel two-valued evaluation on
+  integer words, one bit per pattern: Python ``int`` words in the logic
+  and fault simulators, numpy ``uint64`` arrays in
+  :func:`exhaustive_truth_table`.
 * :meth:`LogicExpr.eval_prob` — signal-probability propagation under the
   COP independence assumption (testability analysis).
+* Three-valued (0/1/X) evaluation for PODEM lives in
+  :mod:`repro.atpg.threeval`, which compiles the tree per node
+  (:func:`~repro.atpg.threeval.compile_pair`) and keeps the interpretive
+  reference :func:`~repro.atpg.threeval.eval3_encoded`.
 
 Keeping one canonical function tree guarantees the simulator, the ATPG
 engine and the testability measures never disagree about a cell.
@@ -17,12 +20,11 @@ engine and the testability measures never disagree about a cell.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
-Word = np.ndarray  # uint64 vector, one bit per pattern
-Tri = Tuple[np.ndarray, np.ndarray]  # (ones, zeros) dual-rail words
+Word = np.ndarray  # or a Python int: one bit per pattern
 
 
 def _full(template: Word, value: int) -> Word:
@@ -36,10 +38,6 @@ class LogicExpr:
 
     def eval2(self, env: Dict[str, Word]) -> Word:
         """Two-valued bit-parallel evaluation; ``env`` maps pin -> word."""
-        raise NotImplementedError
-
-    def eval3(self, env: Dict[str, Tri]) -> Tri:
-        """Three-valued evaluation on dual-rail ``(ones, zeros)`` words."""
         raise NotImplementedError
 
     def eval_prob(self, env: Dict[str, float]) -> float:
@@ -65,9 +63,6 @@ class Var(LogicExpr):
     def eval2(self, env: Dict[str, Word]) -> Word:
         return env[self.pin]
 
-    def eval3(self, env: Dict[str, Tri]) -> Tri:
-        return env[self.pin]
-
     def eval_prob(self, env: Dict[str, float]) -> float:
         return env[self.pin]
 
@@ -87,10 +82,6 @@ class Not(LogicExpr):
 
     def eval2(self, env: Dict[str, Word]) -> Word:
         return ~self.arg.eval2(env)
-
-    def eval3(self, env: Dict[str, Tri]) -> Tri:
-        ones, zeros = self.arg.eval3(env)
-        return zeros, ones
 
     def eval_prob(self, env: Dict[str, float]) -> float:
         return 1.0 - self.arg.eval_prob(env)
@@ -124,14 +115,6 @@ class And(_NaryExpr):
             out = out & arg.eval2(env)
         return out
 
-    def eval3(self, env: Dict[str, Tri]) -> Tri:
-        ones, zeros = self.args[0].eval3(env)
-        for arg in self.args[1:]:
-            o, z = arg.eval3(env)
-            ones = ones & o
-            zeros = zeros | z
-        return ones, zeros
-
     def eval_prob(self, env: Dict[str, float]) -> float:
         p = 1.0
         for arg in self.args:
@@ -150,14 +133,6 @@ class Or(_NaryExpr):
         for arg in self.args[1:]:
             out = out | arg.eval2(env)
         return out
-
-    def eval3(self, env: Dict[str, Tri]) -> Tri:
-        ones, zeros = self.args[0].eval3(env)
-        for arg in self.args[1:]:
-            o, z = arg.eval3(env)
-            ones = ones | o
-            zeros = zeros & z
-        return ones, zeros
 
     def eval_prob(self, env: Dict[str, float]) -> float:
         q = 1.0
@@ -178,13 +153,6 @@ class Xor(LogicExpr):
 
     def eval2(self, env: Dict[str, Word]) -> Word:
         return self.a.eval2(env) ^ self.b.eval2(env)
-
-    def eval3(self, env: Dict[str, Tri]) -> Tri:
-        ao, az = self.a.eval3(env)
-        bo, bz = self.b.eval3(env)
-        ones = (ao & bz) | (az & bo)
-        zeros = (ao & bo) | (az & bz)
-        return ones, zeros
 
     def eval_prob(self, env: Dict[str, float]) -> float:
         pa = self.a.eval_prob(env)
@@ -216,16 +184,6 @@ class Mux(LogicExpr):
         s = self.sel.eval2(env)
         return (self.a.eval2(env) & ~s) | (self.b.eval2(env) & s)
 
-    def eval3(self, env: Dict[str, Tri]) -> Tri:
-        so, sz = self.sel.eval3(env)
-        ao, az = self.a.eval3(env)
-        bo, bz = self.b.eval3(env)
-        # Known select picks one input; unknown select still yields a
-        # known output when both inputs agree on a known value.
-        ones = (sz & ao) | (so & bo) | (ao & bo)
-        zeros = (sz & az) | (so & bz) | (az & bz)
-        return ones, zeros
-
     def eval_prob(self, env: Dict[str, float]) -> float:
         ps = self.sel.eval_prob(env)
         return (1.0 - ps) * self.a.eval_prob(env) + ps * self.b.eval_prob(env)
@@ -250,13 +208,6 @@ class Const(LogicExpr):
     def eval2(self, env: Dict[str, Word]) -> Word:
         template = next(iter(env.values())) if env else np.zeros(1, np.uint64)
         return _full(template, self.value)
-
-    def eval3(self, env: Dict[str, Tri]) -> Tri:
-        if env:
-            template = next(iter(env.values()))[0]
-        else:  # standalone constant evaluation
-            template = np.zeros(1, np.uint64)
-        return _full(template, self.value), _full(template, 1 - self.value)
 
     def eval_prob(self, env: Dict[str, float]) -> float:
         return float(self.value)

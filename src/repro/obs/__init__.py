@@ -5,10 +5,10 @@ and the serving daemon, organised as three pillars (DESIGN.md §7,
 §12):
 
 1. **Traces** — :mod:`repro.obs.tracer` records span trees with
-   counters/gauges; :mod:`repro.obs.merge` carries them across
-   processes as JSON trace files; :mod:`repro.obs.export` stitches any
-   number of them into one Chrome trace-event object (the only Chrome
-   exporter) and renders text summaries.
+   counters/gauges (plain dataclasses, so they cross process
+   boundaries by pickle); :mod:`repro.obs.export` stitches any number
+   of them into one Chrome trace-event object (the only trace file
+   format) and renders text summaries.
 2. **Metrics** — :mod:`repro.obs.metrics` is a registry of counters,
    gauges and log-bucketed histograms;
    :mod:`repro.obs.promtext` encodes it in Prometheus text exposition
@@ -45,16 +45,9 @@ from repro.obs.events import (
 from repro.obs.export import (
     chrome_trace,
     format_trace_summary,
+    summarize_merged,
     validate_chrome_trace,
     write_chrome_trace,
-)
-from repro.obs.merge import (
-    collect_trace_files,
-    read_trace_file,
-    summarize_merged,
-    trace_from_dict,
-    trace_to_dict,
-    write_trace_file,
 )
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -103,7 +96,6 @@ __all__ = [
     "Tracer",
     "bind",
     "chrome_trace",
-    "collect_trace_files",
     "counter",
     "emit",
     "events_active",
@@ -122,17 +114,13 @@ __all__ = [
     "metrics_active",
     "observe",
     "read_events",
-    "read_trace_file",
     "render_registry",
     "set_gauge",
     "span",
     "summarize_merged",
-    "trace_from_dict",
-    "trace_to_dict",
     "tracing",
     "tracing_active",
     "validate_chrome_trace",
     "validate_exposition",
     "write_chrome_trace",
-    "write_trace_file",
 ]

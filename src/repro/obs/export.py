@@ -7,14 +7,17 @@ Two consumers, two formats:
   ``chrome://tracing``).  Spans become complete (``"ph": "X"``) events
   with microsecond timestamps; traces from several processes merge
   onto one time axis (the shared monotonic clock, else wall clock),
-  keyed by stable virtual ``pid``/``tid``.  It is the only Chrome
-  exporter: ``repro flow/sweep --trace``, ``repro trace merge`` and
-  the daemon's ``GET /sweeps/<id>/trace`` all write its output.
+  keyed by stable virtual ``pid``/``tid``.  It is the only trace file
+  format: ``repro flow/sweep --trace``, the daemon's stored job trace
+  (served at ``GET /sweeps/<id>/trace``) and the benchmark's traced
+  run all write its output.
 * :func:`format_trace_summary` — a human-readable per-stage table
   (span tree with call counts, total seconds and attached
-  counters/gauges), for terminals and bench artifacts.
+  counters/gauges), for terminals and bench artifacts;
+  :func:`summarize_merged` is its per-track counterpart for a written
+  Chrome object (the ``repro trace summarize`` backend).
 
-Both operate on the plain-data :class:`~repro.obs.tracer.Trace`
+The exporters operate on the plain-data :class:`~repro.obs.tracer.Trace`
 objects, so they work identically on a live tracer's snapshot, a
 worker trace shipped through the executor, or a trace loaded back from
 a ``FlowSummary``.
@@ -231,4 +234,38 @@ def format_trace_summary(trace: Optional[Trace]) -> str:
             f"{key}={_format_value(value)}"
             for key, value in sorted(extras.items())
         ))
+    return "\n".join(lines)
+
+
+def summarize_merged(obj: dict) -> str:
+    """Per-track span table for a merged Chrome trace object.
+
+    Groups complete (``"X"``) events by ``(pid, tid, name)``; each
+    track is headed by its ``process_name`` metadata when present.
+    """
+    events = obj.get("traceEvents") or []
+    names: Dict[Tuple[int, int], str] = {}
+    rows: Dict[Tuple[int, int], Dict[str, Tuple[int, float]]] = {}
+    for event in events:
+        key = (event.get("pid", 0), event.get("tid", 0))
+        if event.get("ph") == "M" and event.get("name") == "process_name":
+            names[key] = str((event.get("args") or {}).get("name", ""))
+        elif event.get("ph") == "X":
+            per = rows.setdefault(key, {})
+            calls, total = per.get(event["name"], (0, 0.0))
+            per[event["name"]] = (
+                calls + 1, total + float(event.get("dur", 0.0)) / 1e6)
+    if not rows:
+        return "(no complete events)"
+    lines: List[str] = []
+    for key in sorted(rows):
+        title = names.get(key, "")
+        lines.append(
+            f"track pid={key[0]} tid={key[1]}"
+            + (f" ({title})" if title else ""))
+        per = rows[key]
+        width = max(len(n) for n in per)
+        for name in sorted(per, key=lambda n: -per[n][1]):
+            calls, total = per[name]
+            lines.append(f"  {name:<{width}}  {calls:>5}  {total:>9.3f}s")
     return "\n".join(lines)

@@ -255,11 +255,12 @@ class ServiceClient:
             conn.close()
 
     def trace(self, job_id: str) -> Dict[str, Any]:
-        """Merged Chrome trace of one job's recorded spans.
+        """The Chrome trace the job wrote at its end: the job's own
+        spans, plus every cell's flow trace when it ran traced.
 
         Raises:
             ServiceError: 404 until the job has run (a queued job has
-                not written its trace bundle yet).
+                not written its trace file yet).
         """
         return self._expect("GET", f"/sweeps/{job_id}/trace")
 

@@ -57,6 +57,7 @@ failing jobs.
 
 from __future__ import annotations
 
+import json
 import queue
 import threading
 import time
@@ -802,34 +803,34 @@ class JobManager:
 
     def _finish_trace(self, job: _Job, report: Optional[SweepReport],
                       run_from: float) -> None:
-        """Close the job's span tree and persist its trace bundle.
+        """Close the job's span tree and write its Chrome trace.
 
-        The bundle always holds the job-level spans (queue_wait +
+        The trace always holds the job-level spans (queue_wait +
         run); with ``request.trace`` set it also carries every cell's
-        worker-side flow trace, so :func:`repro.obs.chrome_trace` can
-        stitch the whole job across processes.  Best-effort: a full
-        disk must not fail the job itself.
+        worker-side flow trace, stitched across processes by
+        :func:`repro.obs.write_chrome_trace` once, at job end, into
+        ``<cache_dir>/traces/<job_id>.trace.json``.  Best-effort: a
+        full disk must not fail the job itself.
         """
         job.tracer.record_span("run", run_from, job.tracer.now())
         traces = [job.tracer.trace()]
         if report is not None:
             for result in report.results.values():
-                for summary in result.runs.values():
-                    if getattr(summary, "trace", None) is not None:
-                        traces.append(summary.trace)
+                traces.extend(summary.trace
+                              for summary in result.runs.values())
         path = self.trace_dir / f"{job.id}.trace.json"
         try:
-            obs.write_trace_file(path, traces)
+            obs.write_chrome_trace(path, traces)
         except OSError:
             return
         job.trace_path = path
 
     def trace(self, job_id: str) -> Dict[str, Any]:
-        """Merged Chrome trace of one job's recorded spans.
+        """The Chrome trace object the job wrote at its end.
 
         Raises KeyError (via :class:`UnknownJobError`) for unknown
         jobs and FileNotFoundError while the job has not yet written
-        its trace bundle — the server maps both to 404.
+        its trace file — the server maps both to 404.
         """
         with self._lock:
             job = self._get(job_id)
@@ -838,7 +839,8 @@ class JobManager:
         if trace_path is None:
             raise FileNotFoundError(
                 f"job {job_id} has no trace yet (state {state})")
-        return obs.chrome_trace(obs.read_trace_file(trace_path))
+        with open(trace_path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
 
     # -- observability ---------------------------------------------------
     def _counter_value(self, family: str, label: Optional[str],

@@ -34,6 +34,12 @@ from repro.testability.regions import find_regions, region_of_net
 from repro.tpi.clockdomain import assign_clock
 from repro.tpi.cost import CandidateScorer, collect_hard_faults
 
+#: COP detection probability below which a fault counts as hard
+#: (targets ~4k-pattern random tests).
+PD_THRESHOLD = 1.0 / 4096.0
+#: Candidate nets scored per TPI iteration.
+MAX_CANDIDATES = 96
+
 
 @dataclass
 class TpiConfig:
@@ -42,18 +48,11 @@ class TpiConfig:
     Attributes:
         n_test_points: Number of TSFFs to insert (callers derive this
             from the paper's percentage of the flip-flop count).
-        pd_threshold: COP detection probability below which a fault
-            counts as hard (default targets ~4k-pattern random tests).
-        max_candidates: Candidate nets scored per iteration.
-        cone_depth: Forward-cone bound of the control-side scoring.
         exclude_nets: Nets that must not receive test points (the
             timing-aware exclusion of paper Section 5).
     """
 
     n_test_points: int
-    pd_threshold: float = 1.0 / 4096.0
-    max_candidates: int = 96
-    cone_depth: int = 8
     exclude_nets: Set[str] = field(default_factory=set)
 
 
@@ -159,19 +158,15 @@ def insert_test_points(circuit: Circuit, library: Library,
     for iteration in range(config.n_test_points):
         view = extract_comb_view(circuit, "test")
         cop = compute_cop(view)
-        hard = collect_hard_faults(cop, config.pd_threshold)
+        hard = collect_hard_faults(cop, PD_THRESHOLD)
         if iteration == 0:
             report.hard_faults_before = len(hard)
         forbidden = _forbidden_nets(circuit, config)
 
-        candidate_nets = _candidates(
-            circuit, view, cop, hard, forbidden, config
-        )
+        candidate_nets = _candidates(circuit, view, cop, hard, forbidden)
         if not candidate_nets:
             break
-        scorer = CandidateScorer(
-            view, cop, hard, cone_depth=config.cone_depth
-        )
+        scorer = CandidateScorer(view, cop, hard)
         scored = [(scorer.score(net), net) for net in candidate_nets]
         score, best = max(scored)
         record = _insert_tsff(
@@ -182,13 +177,13 @@ def insert_test_points(circuit: Circuit, library: Library,
     view = extract_comb_view(circuit, "test")
     cop = compute_cop(view)
     report.hard_faults_after = len(
-        collect_hard_faults(cop, config.pd_threshold)
+        collect_hard_faults(cop, PD_THRESHOLD)
     )
     return report
 
 
-def _candidates(circuit, view, cop, hard, forbidden: Set[str],
-                config: TpiConfig) -> List[str]:
+def _candidates(circuit, view, cop, hard,
+                forbidden: Set[str]) -> List[str]:
     """Shortlist of insertable nets worth scoring this iteration.
 
     Hard-fault sites, their fanout-free-region roots and *gating
@@ -255,7 +250,7 @@ def _candidates(circuit, view, cop, hard, forbidden: Set[str],
         gating_side_inputs(fault.net)
         consider(fault.net)
         consider(root_of.get(fault.net))
-        if len(ordered) >= config.max_candidates:
+        if len(ordered) >= MAX_CANDIDATES:
             return ordered
 
     # Fallback: largest regions with the worst root observability.
@@ -266,7 +261,7 @@ def _candidates(circuit, view, cop, hard, forbidden: Set[str],
     )
     for region in by_benefit:
         consider(region.root)
-        if len(ordered) >= config.max_candidates:
+        if len(ordered) >= MAX_CANDIDATES:
             break
     return ordered
 

@@ -197,7 +197,9 @@ def test_sweep_trace_merges_levels_into_one_file(tmp_path, capsys):
     ("not json at all", "cannot read"),
     ('{"traceEvents": [{"ph": "X", "pid": 1, "tid": 1, "ts": 0, '
      '"dur": 1}]}', "missing 'name'"),
-], ids=["not-a-trace", "not-json", "nameless-event"])
+    ('{"repro_traces": [{"label": "cell", "pid": 1, "spans": []}]}',
+     "cannot read"),
+], ids=["not-a-trace", "not-json", "nameless-event", "raw-bundle"])
 def test_trace_summarize_rejects_bad_input(tmp_path, capsys, content,
                                            message):
     path = tmp_path / "bad.json"

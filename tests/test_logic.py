@@ -1,10 +1,13 @@
-"""Tests for the logic-expression trees (eval2 / eval3 / eval_prob)."""
+"""Tests for the logic-expression trees (eval2 / eval_prob), and for
+the three-valued algebra PODEM runs on them (``threeval.eval3_encoded``,
+the reference its compiled evaluators are checked against)."""
 
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.atpg.threeval import X, decode, encode, eval3_encoded
 from repro.library.logic import (
     And,
     Const,
@@ -26,15 +29,8 @@ def _eval2_bits(expr, pins, assignment):
 
 
 def _eval3_known(expr, pins, assignment):
-    env = {
-        p: ((1, 0) if assignment[p] else (0, 1)) for p in pins
-    }
-    ones, zeros = expr.eval3(env)
-    if ones & 1:
-        return 1
-    if zeros & 1:
-        return 0
-    return None
+    return decode(eval3_encoded(
+        expr, {p: encode(assignment[p]) for p in pins}))
 
 
 CASES = [
@@ -61,7 +57,8 @@ def test_eval3_matches_eval2_on_known_inputs(expr, pins):
 
 @pytest.mark.parametrize("expr,pins", CASES)
 def test_eval3_x_never_contradicts_completions(expr, pins):
-    """A known eval3 output must hold under every completion of the Xs."""
+    """A known eval3_encoded output must hold under every completion
+    of the Xs."""
     for known_mask in range(1 << len(pins)):
         env3 = {}
         known_pins = []
@@ -69,14 +66,13 @@ def test_eval3_x_never_contradicts_completions(expr, pins):
             if (known_mask >> i) & 1:
                 known_pins.append(p)
             else:
-                env3[p] = (0, 0)
+                env3[p] = X
         for bits in itertools.product((0, 1), repeat=len(known_pins)):
             for p, b in zip(known_pins, bits):
-                env3[p] = (1, 0) if b else (0, 1)
-            ones, zeros = expr.eval3(env3)
-            if not (ones & 1) and not (zeros & 1):
+                env3[p] = encode(b)
+            claimed = decode(eval3_encoded(expr, env3))
+            if claimed is None:
                 continue  # X output: nothing to check
-            claimed = 1 if ones & 1 else 0
             unknown = [p for p in pins if p not in known_pins]
             for completion in itertools.product((0, 1), repeat=len(unknown)):
                 full = dict(zip(known_pins, bits))

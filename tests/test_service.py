@@ -474,6 +474,27 @@ def test_untraced_job_still_has_job_level_trace(client):
     assert "atpg" not in names
 
 
+def test_stored_job_trace_is_the_chrome_trace_served(daemon, client,
+                                                     capsys):
+    from pathlib import Path
+
+    from repro import obs
+    from repro.cli import main
+
+    record = submit(client, (0.0,), trace=True)
+    assert client.wait(record.id, timeout_s=300)["state"] == "done"
+    # The daemon writes one Chrome trace per job, at job end, and
+    # serves that file's object as it is.
+    path = (Path(daemon.service.config.cache_dir) / "traces"
+            / f"{record.id}.trace.json")
+    with open(path, "r", encoding="utf-8") as handle:
+        stored = json.load(handle)
+    assert obs.validate_chrome_trace(stored) == []
+    assert main(["trace", "summarize", str(path)]) == 0
+    assert "queue_wait" in capsys.readouterr().out
+    assert client.trace(record.id) == stored
+
+
 def test_trace_of_unknown_or_unfinished_job_is_404(tmp_path):
     config = ServiceConfig(port=0, cache_dir=str(tmp_path),
                            job_workers=1)

@@ -1,12 +1,13 @@
-"""Tests for cross-process trace files and the Chrome exporter.
+"""Tests for the Chrome exporter and its per-track summary.
 
 The exporter's contract (:func:`repro.obs.chrome_trace`, the only
-one): align traces on the shared monotonic clock (wall fallback for
-old traces), renumber real pids to stable virtual pids ``1..N`` so
-re-merging is byte-identical, keep the OS pid in the ``process_name``
-metadata, and always emit something
-:func:`repro.obs.validate_chrome_trace` accepts.  ``repro trace
-merge`` writes exactly what the library call returns.
+trace file format): align traces on the shared monotonic clock (wall
+fallback for old traces), renumber real pids to stable virtual pids
+``1..N`` so re-merging is byte-identical, keep the OS pid in the
+``process_name`` metadata, and always emit something
+:func:`repro.obs.validate_chrome_trace` accepts.
+:func:`repro.obs.summarize_merged` renders such an object per track
+(the ``repro trace summarize`` backend).
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import json
 import pytest
 
 from repro import obs
-from repro.cli import main
-from repro.obs.merge import TRACE_FILE_KEY
 
 
 def _trace(label: str, pid: int, wall: float, mono: float,
@@ -26,63 +25,6 @@ def _trace(label: str, pid: int, wall: float, mono: float,
     for t_start, t_end, name in spans:
         t.spans.append(obs.Span(name=name, t_start=t_start, t_end=t_end))
     return t
-
-
-# ----------------------------------------------------------------------
-# JSON round-trip
-# ----------------------------------------------------------------------
-def test_trace_dict_round_trip():
-    t = _trace("cell", pid=41, wall=100.0, mono=7.5)
-    t.spans[0].counters["backtracks"] = 3.0
-    t.spans[0].gauges["budget"] = 0.5
-    t.spans[0].children.append(obs.Span(name="inner", t_start=0.1,
-                                        t_end=0.2))
-    t.counters["cells"] = 2.0
-    t.gauges["util"] = 0.9
-    back = obs.trace_from_dict(obs.trace_to_dict(t))
-    assert back == t
-
-
-def test_trace_from_dict_tolerates_missing_mono_epoch():
-    data = obs.trace_to_dict(_trace("old", 1, 5.0, 9.0))
-    del data["mono_epoch"]
-    assert obs.trace_from_dict(data).mono_epoch == 0.0
-
-
-def test_write_and_read_trace_file(tmp_path):
-    path = tmp_path / "a.trace.json"
-    traces = [_trace("x", 1, 1.0, 1.0), None, _trace("y", 2, 2.0, 2.0)]
-    assert obs.write_trace_file(path, traces) == 2  # None skipped
-    back = obs.read_trace_file(path)
-    assert [t.label for t in back] == ["x", "y"]
-    assert json.loads(path.read_text()).keys() == {TRACE_FILE_KEY}
-
-
-def test_read_trace_file_accepts_bare_trace(tmp_path):
-    path = tmp_path / "bare.json"
-    path.write_text(json.dumps(obs.trace_to_dict(_trace("solo", 3,
-                                                        1.0, 1.0))))
-    (only,) = obs.read_trace_file(path)
-    assert only.label == "solo" and only.pid == 3
-
-
-def test_read_trace_file_rejects_junk(tmp_path):
-    path = tmp_path / "junk.json"
-    path.write_text('{"not": "a trace"}')
-    with pytest.raises(ValueError):
-        obs.read_trace_file(path)
-
-
-def test_collect_trace_files_expands_directories(tmp_path):
-    (tmp_path / "b.trace.json").write_text("{}")
-    (tmp_path / "a.trace.json").write_text("{}")
-    (tmp_path / "ignored.json").write_text("{}")
-    loose = tmp_path / "loose.json"
-    loose.write_text("{}")
-    got = obs.collect_trace_files([str(tmp_path), str(loose)])
-    assert got == [str(tmp_path / "a.trace.json"),
-                   str(tmp_path / "b.trace.json"),
-                   str(loose)]
 
 
 # ----------------------------------------------------------------------
@@ -161,19 +103,6 @@ def test_merge_carries_trace_totals():
     # Span counters and gauges ride on the complete event's args.
     (span,) = [e for e in merged["traceEvents"] if e.get("ph") == "X"]
     assert span["args"] == {"items": 3.0, "left": 1.0}
-
-
-def test_chrome_trace_matches_trace_merge_cli(tmp_path, capsys):
-    # One format: ``repro trace merge`` writes exactly what the
-    # library exporter returns for the same traces.
-    traces = [_trace("worker", pid=9001, wall=10.0, mono=100.0),
-              _trace("parent", pid=4242, wall=10.2, mono=100.2)]
-    raw = tmp_path / "raw.trace.json"
-    obs.write_trace_file(raw, traces)
-    out = tmp_path / "merged.json"
-    assert main(["trace", "merge", "--out", str(out), str(raw)]) == 0
-    assert json.loads(out.read_text()) == obs.chrome_trace(traces)
-    assert "monotonic clock" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
