@@ -23,7 +23,7 @@ import time
 from conftest import write_artifact
 from repro import api
 from repro.circuits import s38417_like
-from repro.layout import build_floorplan, get_placer, placement_seed
+from repro.layout import PLACERS, build_floorplan, placement_seed
 from repro.layout import placement as placement_mod
 
 #: Fast ATPG knobs: bench the layout stages, not PODEM.
@@ -133,9 +133,9 @@ def test_placer_engines_deterministic_quality(out_dir):
     results = {}
     for name in ("quadratic", "sa"):
         plan = build_floorplan(circuit, target_utilization=0.97)
-        engine = get_placer(name)
+        engine = PLACERS[name]()
         seed = placement_seed(circuit, name)
-        placement = engine.place(circuit, plan, seed=seed)
+        placement = engine.place(circuit, plan)
         engine.refine(circuit, placement, passes=2, seed=seed)
         results[name] = placement.total_hpwl_um(circuit)
     assert results["sa"] <= results["quadratic"] * 1.02, results

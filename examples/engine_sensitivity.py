@@ -2,9 +2,9 @@
 """Layout-engine sensitivity: does the paper survive a change of placer?
 
 The paper's Tables 2/3 measure TPI's area and timing impact *through*
-one placement engine.  This experiment re-runs the sweep under every
-registered engine (``repro.api.PLACERS``) and reports, per circuit and
-TP level, how much the headline quantities move when only the engine
+one placement engine.  This experiment re-runs the sweep under each
+engine in ``repro.api.PLACERS`` and reports, per circuit and TP
+level, how much the headline quantities move when only the engine
 changes: core area, wirelength, and the critical-path delay T_cp.
 
 The punchline column is the spread: for each (circuit, tp%) cell the

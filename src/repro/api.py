@@ -37,7 +37,7 @@ from repro.core.executor import (
 from repro.core.experiment import ExperimentConfig, ExperimentResult
 from repro.core.flow import FlowConfig, FlowResult, run_flow
 from repro.core.resilience import SweepReport
-from repro.layout.placer import PLACERS, Placer, PlacerSpec, get_placer
+from repro.layout.sa import PLACERS
 from repro.library.cell import Library
 from repro.library.cmos130 import cmos130
 from repro.lint.core import LintReport
@@ -47,9 +47,6 @@ __all__ = [
     "CIRCUITS",
     "CircuitSpec",
     "PLACERS",
-    "Placer",
-    "PlacerSpec",
-    "get_placer",
     "lint_netlist",
     "load_circuit",
     "run",

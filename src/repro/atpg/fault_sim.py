@@ -36,7 +36,7 @@ class FaultSimulator:
         self._node_pos = {id(n): i for i, n in enumerate(view.nodes)}
         self.readers: Dict[int, List[int]] = {}
         for pos, node in enumerate(view.nodes):
-            for net in set(node.pin_nets.values()):
+            for net in dict.fromkeys(node.pin_nets.values()):
                 idx = sim.net_index.get(net)
                 if idx is not None:
                     self.readers.setdefault(idx, []).append(pos)

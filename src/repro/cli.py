@@ -46,6 +46,7 @@ from repro.api import CIRCUITS
 from repro.chaos import FaultPlan
 from repro.core import (
     PAPER_TP_PERCENTS,
+    FlowConfig,
     format_failures,
     format_stage_seconds,
     format_table1,
@@ -135,11 +136,9 @@ def _flow_overrides(args) -> dict:
 
 
 def _placer_name(text: str) -> str:
-    """argparse type for --placer: registry-validated engine name."""
-    from repro.layout.placer import require_placer
-
+    """argparse type for --placer: an engine name FlowConfig accepts."""
     try:
-        require_placer(text)
+        FlowConfig(placer=text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err))
     return text

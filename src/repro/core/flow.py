@@ -33,11 +33,11 @@ from repro.core.metrics import TestDataMetrics
 from repro.obs.tracer import Trace
 from repro.extraction.rc import NetParasitics, extract_all, extract_incremental
 from repro.layout.cts import ClockTree, synthesize_all_clock_trees
-from repro.layout.placer import get_placer, placement_seed, require_placer
 from repro.layout.filler import FillerReport, insert_fillers
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.placement import Placement
 from repro.layout.routing import CongestionReport, GlobalRouter, RoutedNet
+from repro.layout.sa import PLACERS, placement_seed
 from repro.library.cell import Library
 from repro.lint.core import LintReport
 from repro.lint.netlist_rules import lint_netlist
@@ -148,12 +148,11 @@ class FlowConfig:
             ``--no-incremental``.
         detailed_passes: Detailed-placement refinement sweeps run after
             legalisation (adjacent-swap wirelength cleanup).
-        placer: Global-placement engine, by registry name (see
-            ``repro.layout.PLACERS``): ``"quadratic"`` (the default
-            analytic engine, bit-identical to the historical flow) or
-            ``"sa"`` (quadratic + simulated-annealing detailed
-            placement).  Unknown names are rejected at construction
-            with a did-you-mean hint.
+        placer: Placement engine, a key of ``repro.layout.PLACERS``:
+            ``"quadratic"`` (the default analytic engine) or ``"sa"``
+            (quadratic + simulated-annealing detailed placement).
+            Unknown names are rejected at construction with a
+            did-you-mean hint.
 
     Construct with keyword arguments, :meth:`from_dict`, or
     :meth:`replace` — positional construction is deprecated: the field
@@ -176,7 +175,7 @@ class FlowConfig:
     incremental_eco: bool = True
     #: Detailed-placement refinement sweeps after legalisation.
     detailed_passes: int = 2
-    #: Global-placement engine (a ``repro.layout.PLACERS`` name).
+    #: Placement engine (a ``repro.layout.PLACERS`` key).
     placer: str = "quadratic"
 
     def __post_init__(self):
@@ -184,7 +183,7 @@ class FlowConfig:
         # configs must be immutable, hashable and fingerprintable.
         if not isinstance(self.exclude_nets, frozenset):
             self.exclude_nets = frozenset(self.exclude_nets)
-        require_placer(self.placer)
+        _reject_unknown_keys([self.placer], sorted(PLACERS), "placer")
 
     # -- plain-data interchange -----------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -452,16 +451,15 @@ def _layout_phase(circuit: Circuit, library: Library,
         )
         plan = build_floorplan(circuit, config.target_utilization,
                                reserve_area_um2=reserve)
-        # Strategy dispatch: the configured engine owns global place,
-        # detailed refinement and every later ECO insertion.  The seed
-        # is derived from the netlist's structural content plus the
-        # engine name, so stochastic engines (SA) replay identically
-        # in-process, across workers and across machines.
-        placer = get_placer(config.placer)
-        seed = placement_seed(circuit, config.placer)
-        placement = placer.place(circuit, plan, seed=seed)
-        placer.refine(circuit, placement,
-                      passes=config.detailed_passes, seed=seed)
+        # The configured engine owns global place, detailed refinement
+        # and every later ECO insertion.  The seed is derived from the
+        # netlist's structural content plus the engine name, so SA
+        # replays identically in-process, across workers and across
+        # machines.
+        placer = PLACERS[config.placer]()
+        placement = placer.place(circuit, plan)
+        placer.refine(circuit, placement, passes=config.detailed_passes,
+                      seed=placement_seed(circuit, config.placer))
         result.plan = plan
         result.placement = placement
         sp.gauge("rows", plan.n_rows)

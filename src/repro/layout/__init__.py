@@ -1,10 +1,10 @@
 """Layout generation: floorplan, placement, CTS, ECO, filler, routing.
 
-Global placement is a pluggable strategy: engines implement the
-:class:`Placer` protocol and live in the :data:`PLACERS` registry
-(``"quadratic"`` is the default, ``"sa"`` adds simulated-annealing
-detailed placement).  ``global_place`` remains importable for old
-callers; it is a thin shim over the registered ``"quadratic"`` engine.
+The flow places through one of two engine classes, chosen by name from
+:data:`PLACERS`: ``"quadratic"`` (:class:`QuadraticPlacer`, the
+default) or ``"sa"`` (:class:`SimulatedAnnealingPlacer`, which adds
+simulated-annealing detailed placement).  ``global_place`` is the
+quadratic engine's analytic solve, callable on its own.
 """
 
 from repro.layout.cts import (
@@ -27,18 +27,13 @@ from repro.layout.floorplan import (
     build_floorplan,
 )
 from repro.layout.geometry import Point, Rect, hpwl, manhattan
-from repro.layout.placement import Placement, QuadraticPlacer, repack_row
-from repro.layout.placer import (
-    PLACERS,
-    Placer,
-    PlacerSpec,
-    get_placer,
+from repro.layout.placement import (
+    Placement,
+    QuadraticPlacer,
     global_place,
-    placement_seed,
-    register_placer,
-    require_placer,
+    repack_row,
 )
-from repro.layout.sa import SimulatedAnnealingPlacer
+from repro.layout.sa import PLACERS, SimulatedAnnealingPlacer, placement_seed
 from repro.layout.routing import (
     CongestionReport,
     GCELL_UM,
@@ -64,8 +59,6 @@ __all__ = [
     "PLACERS",
     "POWER_RING_UM",
     "Placement",
-    "Placer",
-    "PlacerSpec",
     "Point",
     "QuadraticPlacer",
     "SimulatedAnnealingPlacer",
@@ -76,15 +69,12 @@ __all__ = [
     "build_floorplan",
     "desired_position",
     "eco_place",
-    "get_placer",
     "global_place",
     "hpwl",
     "insert_fillers",
     "manhattan",
     "placement_seed",
-    "register_placer",
     "repack_row",
-    "require_placer",
     "synthesize_all_clock_trees",
     "synthesize_clock_tree",
 ]

@@ -96,15 +96,12 @@ class Placement:
         return used / total if total else 0.0
 
 
-def global_place(circuit: Circuit, plan: Floorplan,
-                 seed: int = 0) -> Placement:
+def global_place(circuit: Circuit, plan: Floorplan) -> Placement:
     """Place every non-filler cell of ``circuit`` into ``plan``.
 
     Args:
         circuit: Netlist to place.
         plan: Floorplan with rows and pad positions.
-        seed: Tie-break randomisation seed (kept for reproducibility;
-            the analytic solve itself is deterministic).
 
     Returns:
         A legalised placement at the floorplan's utilisation.
@@ -397,19 +394,16 @@ def repack_row(circuit: Circuit, placement: Placement,
 class QuadraticPlacer:
     """The default engine: analytic quadratic placement + greedy refine.
 
-    This is the historical ``global_place`` / ``refine_placement``
-    pipeline ported onto the :class:`repro.layout.placer.Placer`
-    strategy protocol — results are bit-identical to the pre-strategy
-    flow.  The analytic solve is deterministic, so the threaded
-    ``seed`` is accepted (protocol contract) but never consumed.
+    The flow builds its engine from ``repro.layout.sa.PLACERS`` and
+    calls these three methods; ``SimulatedAnnealingPlacer`` subclasses
+    this class and overrides only :meth:`refine`.  The analytic solve
+    is deterministic, so :meth:`refine` accepts the flow's ``seed``
+    only to share the subclass's signature.
     """
 
-    name = "quadratic"
-
-    def place(self, circuit: Circuit, plan: Floorplan, *,
-              seed: int = 0) -> Placement:
+    def place(self, circuit: Circuit, plan: Floorplan) -> Placement:
         """Quadratic global placement with capacity legalisation."""
-        return global_place(circuit, plan, seed=seed)
+        return global_place(circuit, plan)
 
     def refine(self, circuit: Circuit, placement: Placement, *,
                passes: int = 2, seed: int = 0) -> float:

@@ -1,9 +1,13 @@
-"""Simulated-annealing detailed placement (the ``"sa"`` engine).
+"""Simulated-annealing detailed placement, and the engine table.
 
-The engine keeps the quadratic analytic solve for global placement —
-annealing from a random start would be both slow and worse — and
-replaces the greedy adjacent-swap cleanup with a Metropolis search
-over two legality-preserving move classes:
+:data:`PLACERS` maps each ``FlowConfig.placer`` name to its engine
+class: ``"quadratic"`` (:class:`repro.layout.placement.QuadraticPlacer`,
+the default) and ``"sa"`` (:class:`SimulatedAnnealingPlacer`, below).
+
+The ``"sa"`` engine keeps the quadratic analytic solve for global
+placement — annealing from a random start would be both slow and
+worse — and replaces the greedy adjacent-swap cleanup with a
+Metropolis search over two legality-preserving move classes:
 
 * **adjacent swap** — two neighbouring cells in a row exchange their
   site span (the same move the greedy refiner uses, but accepted
@@ -22,10 +26,12 @@ the cell count and the caller's ``passes``.
 
 Determinism: the *only* source of randomness is the ``seed`` handed to
 :meth:`SimulatedAnnealingPlacer.refine` (the flow derives it from the
-netlist's structural content via ``placement_seed``), consumed through
-a private ``random.Random`` — never the process-global RNG.  The same
-(circuit, placement, passes, seed) inputs therefore replay the exact
-accept/reject sequence on any machine and under any ``--jobs`` count.
+netlist's structural content via :func:`placement_seed`), consumed
+through a private ``random.Random`` — never the process-global RNG.
+The same (circuit, placement, passes, seed) inputs therefore replay
+the exact accept/reject sequence on any machine and under any
+``--jobs`` count.  Only this engine reads the seed; the quadratic
+engine is deterministic without one.
 
 A final greedy pass (the quadratic engine's refiner) polishes what the
 annealer leaves, so ``"sa"`` results are never worse than untouched
@@ -34,6 +40,7 @@ global placement by more than the annealer's own uphill moves allow.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from typing import Dict, List
@@ -89,8 +96,6 @@ class _SaCost:
 class SimulatedAnnealingPlacer(QuadraticPlacer):
     """Quadratic global placement + annealed detailed placement."""
 
-    name = "sa"
-
     def refine(self, circuit: Circuit, placement: Placement, *,
                passes: int = 2, seed: int = 0) -> float:
         """Anneal, then greedy-polish; returns total HPWL gain in um."""
@@ -104,6 +109,38 @@ class SimulatedAnnealingPlacer(QuadraticPlacer):
         gain += super().refine(circuit, placement,
                                passes=passes, seed=seed)
         return gain
+
+
+#: Placement engines by ``FlowConfig.placer`` name.
+PLACERS = {"quadratic": QuadraticPlacer, "sa": SimulatedAnnealingPlacer}
+
+
+def placement_seed(circuit: Circuit, engine: str = "") -> int:
+    """Deterministic 63-bit seed from the netlist's structural content.
+
+    The digest covers the circuit name and the sorted instance/net
+    name-and-cell structure — exactly the inputs that shape a
+    placement — plus the engine name, so two engines never share a
+    random stream.  Positions and other derived state never enter the
+    hash.  Equal (circuit, engine) pairs seed equally in every
+    process, which is what makes the SA backend bit-identical across
+    ``--jobs 1`` and ``--jobs N``.
+    """
+    h = hashlib.sha256()
+    h.update(engine.encode("utf-8"))
+    h.update(b"\x00")
+    h.update(circuit.name.encode("utf-8"))
+    for name in sorted(circuit.instances):
+        inst = circuit.instances[name]
+        h.update(b"\x00i")
+        h.update(name.encode("utf-8"))
+        h.update(inst.cell.name.encode("utf-8"))
+    for name in sorted(circuit.nets):
+        net = circuit.nets[name]
+        h.update(b"\x00n")
+        h.update(name.encode("utf-8"))
+        h.update(repr(net.driver).encode("utf-8"))
+    return int(h.hexdigest()[:16], 16) & 0x7FFFFFFFFFFFFFFF
 
 
 def _anneal(circuit: Circuit, placement: Placement, *,

@@ -363,29 +363,23 @@ class Baseline:
             )
         return cls(data.get("entries", {}))
 
-    def stale_entries(self, root) -> Dict[str, Dict[str, Any]]:
-        """Baseline entries whose source file no longer exists.
+    def stale_entries(self, report: LintReport) -> Dict[str, Dict[str, Any]]:
+        """Baseline entries that no finding of ``report`` matches.
 
-        ``location`` is ``file:line`` for source findings; an entry
-        whose file is gone under ``root`` can never match a fresh
-        finding again and should be pruned (``--update-baseline``)
-        rather than kept forever.  Netlist-object entries (no path
-        separator that resolves under root) are never considered
-        stale.  Returns fingerprint -> entry, sorted by fingerprint.
+        Only entries of rules that ran in ``report`` count, so a run of
+        one pack never calls another pack's entries stale.  A fixed
+        finding and a deleted file both leave such an entry; prune it
+        with ``--update-baseline``.  Returns fingerprint -> entry,
+        sorted by fingerprint.
         """
-        from pathlib import Path
-
-        rootp = Path(root)
-        out: Dict[str, Dict[str, Any]] = {}
-        for fp in sorted(self.entries):
-            entry = self.entries[fp]
-            location = str(entry.get("location", ""))
-            file_part = location.rsplit(":", 1)[0]
-            if not file_part or not file_part.endswith(".py"):
-                continue
-            if not (rootp / file_part).exists():
-                out[fp] = entry
-        return out
+        found = {d.fingerprint
+                 for d in report.diagnostics + report.suppressed}
+        return {
+            fp: self.entries[fp]
+            for fp in sorted(self.entries)
+            if self.entries[fp].get("rule") in report.rule_seconds
+            and fp not in found
+        }
 
     def save(self, path) -> None:
         """Write the baseline as reviewable, sorted JSON."""

@@ -16,7 +16,7 @@ findings (any severity); 2 — usage error.  The baseline lives at the
 repository root as ``lint-baseline.json``: it grandfathers the
 violations that existed when a rule landed, so CI blocks only *new*
 findings.  Shrink it over time by fixing entries and re-running with
-``--update-baseline``; entries whose file no longer exists are
+``--update-baseline``; entries that no current finding matches are
 reported as stale (and dropped on the next ``--update-baseline``).
 """
 
@@ -116,7 +116,7 @@ def main(argv: Optional[list] = None) -> int:
 
     baseline = Baseline.load(baseline_path)
     report.apply_baseline(baseline)
-    stale = baseline.stale_entries(root)
+    stale = baseline.stale_entries(report)
 
     if args.json:
         payload = report.to_json()
@@ -128,8 +128,8 @@ def main(argv: Optional[list] = None) -> int:
     for fingerprint in stale:
         entry = stale[fingerprint]
         print(f"stale baseline entry {fingerprint}: "
-              f"[{entry.get('rule')}] {entry.get('location')} no "
-              f"longer exists; prune with --update-baseline")
+              f"[{entry.get('rule')}] {entry.get('location')} matches "
+              f"no finding; prune with --update-baseline")
 
     if report.diagnostics:
         print(report.format_text())

@@ -46,7 +46,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.chaos import FaultPlan
-from repro.core.executor import FlowSummary, PathSummary, StaSummary
+from repro.core.executor import (
+    FlowSummary,
+    PathSummary,
+    StaSummary,
+    summarize,
+)
 from repro.core.experiment import ExperimentResult
 from repro.core.metrics import TestDataMetrics
 from repro.core.resilience import SweepReport, TaskFailure
@@ -455,53 +460,17 @@ def report_from_wire(data: Mapping[str, Any]) -> SweepReport:
 def canonical_summary(run: Any) -> Dict[str, Any]:
     """The deterministic content of one sweep cell.
 
-    Reads through the accessor surface shared by
-    :class:`~repro.core.flow.FlowResult` and :class:`FlowSummary`
-    (``test_metrics()``, ``area_metrics()``, ``sta``,
-    ``n_test_points``), and includes *only* input-determined
-    quantities — no wall-clock timings, PIDs, logs, traces or cache
-    provenance.  Equal canonical forms mean the runs are
+    ``run`` is a :class:`~repro.core.flow.FlowResult` or a
+    :class:`FlowSummary`; the canonical form is the input-determined
+    part of the cell's wire encoding (``n_test_points``, ``test``,
+    ``area``, ``sta``) — no wall-clock timings, PIDs, logs, traces or
+    cache provenance.  Equal canonical forms mean the runs are
     interchangeable as results.
     """
-    try:
-        test = dataclasses.asdict(run.test_metrics())
-    except ValueError:
-        test = None
-    try:
-        area = dict(run.area_metrics())
-    except ValueError:
-        area = None
-    sta = None
-    if run.sta is not None:
-        sta = {
-            "paths": {
-                domain: [
-                    {
-                        "domain": p.domain,
-                        "endpoint": p.endpoint,
-                        "startpoint": p.startpoint,
-                        "t_wires_ps": p.t_wires_ps,
-                        "t_intrinsic_ps": p.t_intrinsic_ps,
-                        "t_load_dep_ps": p.t_load_dep_ps,
-                        "t_setup_ps": p.t_setup_ps,
-                        "t_skew_ps": p.t_skew_ps,
-                        "total_ps": p.total_ps,
-                        "slack_ps": p.slack_ps,
-                        "n_test_points": p.n_test_points,
-                    }
-                    for p in paths
-                ]
-                for domain, paths in run.sta.paths.items()
-            },
-            "slow_nodes": sorted(run.sta.slow_nodes),
-            "hold_violations": run.sta.hold_violations,
-        }
-    return {
-        "n_test_points": run.n_test_points,
-        "test": test,
-        "area": area,
-        "sta": sta,
-    }
+    cell = run if isinstance(run, FlowSummary) else summarize(run)
+    wire = summary_to_wire(cell)
+    return {key: wire[key] for key in ("n_test_points", "test", "area",
+                                       "sta")}
 
 
 def canonical_result_bytes(result: Any) -> bytes:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import inspect
 import json
 from pathlib import Path
 
@@ -39,13 +38,6 @@ def current_surface() -> dict:
         "FlowConfig.fields": sorted(
             f.name for f in dataclasses.fields(FlowConfig)
         ),
-        # The Placer strategy protocol is an API contract engines are
-        # written against: freeze each method's full signature so an
-        # argument rename/retype fails here, not in third-party code.
-        "Placer.methods": {
-            name: str(inspect.signature(getattr(api.Placer, name)))
-            for name in ("place", "refine", "eco_place")
-        },
     }
 
 

@@ -16,7 +16,7 @@ from repro.core import (
     run_flow,
 )
 from repro.atpg import AtpgConfig
-from repro.layout import get_placer
+from repro.layout import PLACERS
 from repro.netlist import validate
 
 
@@ -135,7 +135,7 @@ def test_fix_hold_violations_budget_exhaustion(hold_fix_flow, monkeypatch):
     from repro.library import cmos130
     fix = _fix_hold_violations(r.circuit, cmos130(), placement,
                                _StubSta({endpoint: -80.0}),
-                               get_placer("quadratic"))
+                               PLACERS["quadratic"]())
     assert fix.budget == 0
     assert fix.buffers_inserted == 0
     assert fix.budget_left == 0
@@ -160,7 +160,7 @@ def test_fix_hold_violations_inserts_within_budget(hold_fix_flow,
     from repro.library import cmos130
     fix = _fix_hold_violations(r.circuit, cmos130(), placement,
                                _StubSta({endpoint: -50.0}),
-                               get_placer("quadratic"), round_no=2)
+                               PLACERS["quadratic"](), round_no=2)
     assert fix.round == 2
     assert fix.violations_before == 1
     assert fix.buffers_inserted >= 1

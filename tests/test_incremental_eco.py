@@ -260,7 +260,7 @@ def test_hold_fix_budget_never_underflows(monkeypatch):
     negative ``min()`` fold, no over-insertion.
     """
     from repro.core.flow import _fix_hold_violations
-    from repro.layout import get_placer
+    from repro.layout import PLACERS
 
     circuit = s38417_like(scale=0.02)
     library = cmos130()
@@ -294,7 +294,7 @@ def test_hold_fix_budget_never_underflows(monkeypatch):
         hold_slacks = {endpoints[0]: -900.0, endpoints[1]: -800.0}
 
     fix = _fix_hold_violations(circuit, library, placement, _StubSta(),
-                               get_placer("quadratic"))
+                               PLACERS["quadratic"]())
     assert fix == HoldFixRound(
         round=1, violations_before=2, buffers_inserted=4,
         budget=4, budget_left=0,

@@ -3,7 +3,7 @@
 The headline gates mirror the executor's bit-identity contract: the
 ``"sa"`` engine must reproduce exactly — same process, fresh process
 pool, any job count — because its only randomness is the content-derived
-seed threaded through ``Placer.refine``.
+seed threaded through ``SimulatedAnnealingPlacer.refine``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.core import (
     run_experiment,
     run_sweep,
 )
-from repro.layout import build_floorplan, get_placer, placement_seed
+from repro.layout import PLACERS, build_floorplan, placement_seed
 
 FAST_ATPG = AtpgConfig(seed=7, backtrack_limit=24, max_deterministic=60,
                        abort_recovery_blocks=4, second_chance_factor=1)
@@ -48,9 +48,9 @@ def table_dicts(result):
 
 def _place_and_refine(circuit, passes=2):
     plan = build_floorplan(circuit, target_utilization=0.97)
-    engine = get_placer("sa")
+    engine = PLACERS["sa"]()
     seed = placement_seed(circuit, "sa")
-    placement = engine.place(circuit, plan, seed=seed)
+    placement = engine.place(circuit, plan)
     gain = engine.refine(circuit, placement, passes=passes, seed=seed)
     return placement, gain
 
@@ -71,8 +71,8 @@ def test_sa_refine_is_bit_identical_across_runs():
 def test_sa_seed_changes_the_anneal():
     circuit = s38417_like(scale=0.02)
     plan = build_floorplan(circuit, target_utilization=0.97)
-    engine = get_placer("sa")
-    base = engine.place(circuit, plan, seed=1)
+    engine = PLACERS["sa"]()
+    base = engine.place(circuit, plan)
     import copy
 
     alt = copy.deepcopy(base)
@@ -107,9 +107,9 @@ def test_sa_preserves_legality():
 def test_sa_improves_on_untouched_global_placement():
     circuit = s38417_like(scale=0.02)
     plan = build_floorplan(circuit, target_utilization=0.97)
-    engine = get_placer("sa")
+    engine = PLACERS["sa"]()
     seed = placement_seed(circuit, "sa")
-    placement = engine.place(circuit, plan, seed=seed)
+    placement = engine.place(circuit, plan)
     before = placement.total_hpwl_um(circuit)
     gain = engine.refine(circuit, placement, passes=2, seed=seed)
     after = placement.total_hpwl_um(circuit)
