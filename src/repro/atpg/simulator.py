@@ -6,8 +6,9 @@ operations, so a single call simulates ``width`` patterns through the
 entire circuit.  Patterns are packed one-per-bit into Python integers,
 which support arbitrary widths — 64 by default, matching classic PPSFP.
 
-Per-node compiled evaluators are also exposed; the fault simulator uses
-them for event-driven propagation of faulty values.
+Per-node compiled evaluators are also exposed, each reading the value
+list directly; the fault simulator runs them in place on a copy of the
+good values to sensitise paths and propagate stem flips.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class BitSimulator:
             for net, val in view.constants.items()
         }
         self._good_fn = self._compile_good()
-        self.node_fns: List[Callable[[Callable[[int], int]], int]] = [
+        self.node_fns: List[Callable[[List[int]], int]] = [
             self._compile_node(node) for node in view.nodes
         ]
 
@@ -108,18 +109,17 @@ class BitSimulator:
         exec("\n".join(lines), namespace)  # noqa: S102 - trusted source
         return namespace["_sim"]  # type: ignore[return-value]
 
-    def _compile_node(self, node: CombNode
-                      ) -> Callable[[Callable[[int], int]], int]:
-        """Compile one node into ``fn(get) -> word``.
+    def _compile_node(self, node: CombNode) -> Callable[[List[int]], int]:
+        """Compile one node into ``fn(v) -> word``.
 
-        ``get`` maps a net index to its current word, letting the fault
-        simulator overlay faulty values without copying the good state.
+        ``v`` is a value list indexed like :meth:`run`'s result; the
+        word is the node's output, masked to the width.
         """
         pin_code = {
-            pin: f"g({self.net_index[net]})"
+            pin: f"v[{self.net_index[net]}]"
             for pin, net in node.pin_nets.items()
         }
-        src = f"lambda g, m={self.mask}: {render_expr(node.expr, pin_code)}"
+        src = f"lambda v, m={self.mask}: {render_expr(node.expr, pin_code)}"
         return eval(src)  # noqa: S307 - trusted source
 
     # ------------------------------------------------------------------

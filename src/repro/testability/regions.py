@@ -66,7 +66,7 @@ def find_regions(view: CombView) -> Dict[str, FanoutFreeRegion]:
             if node is None:
                 continue
             gates += 1
-            for pin_net in set(node.pin_nets.values()):
+            for pin_net in dict.fromkeys(node.pin_nets.values()):
                 if pin_net in node_of and not is_root[pin_net]:
                     stack.append(pin_net)
         regions[net] = FanoutFreeRegion(root=net, nets=nets, size=gates)

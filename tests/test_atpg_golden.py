@@ -50,11 +50,20 @@ CELLS = (("s38417", 0.0), ("s38417", 8.0),
          ("p26909", 0.0), ("p26909", 3.0))
 
 #: Largest input support of a fault region proved by exhaustion
-#: (2**10 patterns = 16 blocks of 64).
-MAX_PROOF_INPUTS = 10
+#: (2**16 patterns = 1024 blocks of 64).
+MAX_PROOF_INPUTS = 16
 
 #: REDUNDANT verdicts at TP 0 % whose region is small enough to prove.
-EXPECTED_PROVED = 88
+EXPECTED_PROVED = 444
+
+#: REDUNDANT verdicts at TP 0 % left unproved (supports of 18-57 inputs).
+EXPECTED_UNPROVED = 83
+
+#: Word of the k-th of six inputs that 64 patterns enumerate: bit i of
+#: the word is bit k of i.
+ENUMERATION_WORDS = tuple(
+    sum(1 << i for i in range(64) if (i >> k) & 1) for k in range(6)
+)
 
 
 def _cell_key(name: str, tp: float) -> str:
@@ -144,22 +153,21 @@ class _Supports:
         return support & self.inputs
 
 
-def _exhaustive_blocks(inputs: List[str], support: List[str], width: int):
-    """Every assignment of ``support`` (other inputs 0), as blocks."""
-    position = {net: j for j, net in enumerate(inputs)}
-    patterns = []
-    for code in range(1 << len(support)):
-        pattern = 0
-        for k, net in enumerate(support):
-            if (code >> k) & 1:
-                pattern |= 1 << position[net]
-        patterns.append(pattern)
-    for start in range(0, len(patterns), width):
-        yield pack_block(inputs, patterns[start:start + width])
+def _exhaustive_blocks(support: List[str], mask: int):
+    """Every assignment of ``support`` (other inputs 0), as 64-bit
+    block words: support input k < 6 takes the k-th enumeration word,
+    input k >= 6 is all ones or zero by bit k - 6 of the block index."""
+    low = dict(zip(support, ENUMERATION_WORDS))
+    high = support[len(ENUMERATION_WORDS):]
+    for block in range(1 << len(high)):
+        words = dict(low)
+        for k, net in enumerate(high):
+            words[net] = mask if (block >> k) & 1 else 0
+        yield words
 
 
 def test_verdicts_hold_under_independent_simulation(podem_runs):
-    proved = 0
+    proved = unproved = 0
     for name in CIRCUITS:
         _, result = podem_runs[_cell_key(name, 0.0)]
         atpg = result.atpg
@@ -167,6 +175,7 @@ def test_verdicts_hold_under_independent_simulation(podem_runs):
         fsim = FaultSimulator(BitSimulator(view))
         flist = atpg.fault_list
         width = fsim.sim.width
+        assert width == 64  # the width the enumeration words fill
         supports = _Supports(view)
 
         claimed = [rep for rep in flist.classes()
@@ -186,10 +195,10 @@ def test_verdicts_hold_under_independent_simulation(podem_runs):
                 continue
             support = sorted(supports.of(rep.net))
             if len(support) > MAX_PROOF_INPUTS:
+                unproved += 1
                 continue
-            for words in _exhaustive_blocks(view.input_nets, support,
-                                            width):
+            for words in _exhaustive_blocks(support, fsim.mask):
                 assert not fsim.run_block(words, [rep]), (
                     f"{name}: REDUNDANT {rep} is detected")
             proved += 1
-    assert proved == EXPECTED_PROVED
+    assert (proved, unproved) == (EXPECTED_PROVED, EXPECTED_UNPROVED)
