@@ -533,9 +533,6 @@ def _add_service_url(parser: argparse.ArgumentParser) -> None:
 
 def main(argv=None) -> int:
     """CLI entry point."""
-    # REPRO_EVENTS=<path|stderr> turns on the structured event log for
-    # any subcommand without new flags (REPRO_EVENTS_LEVEL tunes it).
-    obs.install_events_from_env()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DATE 2004 TPI-impact reproduction toolkit",

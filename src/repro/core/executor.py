@@ -46,7 +46,6 @@ import os
 import pickle
 import tempfile
 import time
-import uuid
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -673,12 +672,6 @@ def _run_level(task: _LevelTask) -> FlowSummary:
     the ``REPRO_CHAOS`` environment) is activated around the flow so
     scripted stage faults fire for exactly this cell and attempt.
     """
-    # Workers started via "spawn" re-import with the null event log;
-    # honour REPRO_EVENTS there too so flow stage events from every
-    # process land in the same JSONL sink.  One boolean check per
-    # task, nothing on the stage hot path.
-    if not obs.events_active():
-        obs.install_events_from_env()
     plan = task.chaos if task.chaos is not None else chaos.plan_from_env()
     with chaos.active(plan, task.name, task.tp_percent, task.attempt):
         circuit = task.circuit_factory()
@@ -872,19 +865,11 @@ class _Scheduler:
             self.cancelled = True
             self.aborted = True
 
-    #: Event-log severity per journal event kind (default info).
-    _EVENT_LEVELS = {
-        "task_failed": "warn",
-        "task_exhausted": "error",
-        "task_aborted": "warn",
-        "task_isolated": "warn",
-    }
-
     # -- bookkeeping ----------------------------------------------------
     def _journal_event(self, event: str, task: _LevelTask,
                        **data) -> None:
-        obs.emit(event, self._EVENT_LEVELS.get(event, "info"),
-                 cell=task.label, key=task.cache_key, **data)
+        """Record one task lifecycle event in the sweep journal, its
+        only record: a sweep without a journal keeps none."""
         if self.journal is not None:
             self.journal.record(event, key=task.cache_key, name=task.name,
                                 tp_percent=task.tp_percent, **data)
@@ -897,6 +882,8 @@ class _Scheduler:
         self.summaries[(task.name, task.tp_percent)] = _cache_hit(stored)
         now = self.tracer.now()
         self.tracer.record_span(f"cache_hit:{task.label}", now, now)
+        obs.inc("repro_cells_total", 1, circuit=task.name,
+                outcome="cached")
         self._journal_event("task_resumed" if task.cache_key in resumed
                             else "task_cached", task)
         return True
@@ -1224,78 +1211,64 @@ def run_sweeps_report(
 
     started_at = time.time()
     started_mono = time.monotonic()
-    # Correlation key for the structured event log: every event this
-    # sweep emits (and, via bind, every flow stage event of an inline
-    # jobs=1 run) carries the same run_id.  Pure telemetry — never
-    # part of a cache key.
-    run_id = uuid.uuid4().hex[:12]
-    with obs.bind(run_id=run_id):
-        obs.emit("sweep_start", jobs=executor.jobs, cells=len(tasks),
-                 resume=executor.resume)
+    journal: Optional[SweepJournal] = None
+    resumed: Set[str] = set()
+    jpath = executor.journal_path()
+    if jpath is not None:
+        if executor.resume:
+            resumed = completed_keys(read_journal(jpath))
+        journal = SweepJournal(jpath, resume=executor.resume)
+    # The journal handle must not outlive the sweep even when a
+    # scheduler or cache failure unwinds: an open handle leaks the
+    # fd and (on a crashed daemon worker) can hold a torn tail
+    # without its closing record.
+    try:
+        if journal is not None:
+            journal.record(
+                "sweep_start",
+                resume=executor.resume,
+                jobs=executor.jobs,
+                retries=executor.retries,
+                task_timeout_s=executor.task_timeout_s,
+                chaos=plan is not None,
+                cells=[
+                    {"name": t.name, "tp_percent": t.tp_percent,
+                     "key": t.cache_key}
+                    for t in tasks
+                ],
+            )
 
-        journal: Optional[SweepJournal] = None
-        resumed: Set[str] = set()
-        jpath = executor.journal_path()
-        if jpath is not None:
-            if executor.resume:
-                resumed = completed_keys(read_journal(jpath))
-            journal = SweepJournal(jpath, resume=executor.resume)
-        # The journal handle must not outlive the sweep even when a
-        # scheduler or cache failure unwinds: an open handle leaks the
-        # fd and (on a crashed daemon worker) can hold a torn tail
-        # without its closing record.
-        try:
-            if journal is not None:
-                journal.record(
-                    "sweep_start",
-                    resume=executor.resume,
-                    jobs=executor.jobs,
-                    retries=executor.retries,
-                    task_timeout_s=executor.task_timeout_s,
-                    chaos=plan is not None,
-                    cells=[
-                        {"name": t.name, "tp_percent": t.tp_percent,
-                         "key": t.cache_key}
-                        for t in tasks
-                    ],
-                )
-
-            scheduler = _Scheduler(executor, cache, tracer, journal, plan)
-            pending = [task for task in tasks
-                       if not scheduler.serve_cached(task, resumed)]
-            if cache is not None:
-                tracer.counter("cache_hits", cache.hits)
-                tracer.counter("cache_misses", cache.misses)
-                tracer.counter("cache_corrupt", cache.corrupt)
-                obs.inc("repro_cells_total", cache.hits, outcome="cached")
-            scheduler.run(pending)
-            summaries = scheduler.summaries
-            failures = sorted(scheduler.failures,
-                              key=lambda f: (f.name, f.tp_percent))
-
-            if journal is not None:
-                journal.record(
-                    "sweep_end",
-                    ok=not failures,
-                    failed=[f.label for f in failures],
-                    retries=scheduler.retries,
-                    timeouts=scheduler.timeouts,
-                    worker_crashes=scheduler.crashes,
-                    cancelled=scheduler.cancelled,
-                )
-        finally:
-            if journal is not None:
-                journal.close()
-
+        scheduler = _Scheduler(executor, cache, tracer, journal, plan)
+        pending = [task for task in tasks
+                   if not scheduler.serve_cached(task, resumed)]
         if cache is not None:
-            for event, count in (("hit", cache.hits), ("miss", cache.misses),
-                                 ("corrupt", cache.corrupt),
-                                 ("evict", cache.evictions)):
-                obs.inc("repro_cache_events_total", count, event=event)
-        obs.emit("sweep_end", "error" if failures else "info",
-                 ok=not failures, failed=[f.label for f in failures],
-                 retries=scheduler.retries, timeouts=scheduler.timeouts,
-                 cancelled=scheduler.cancelled)
+            tracer.counter("cache_hits", cache.hits)
+            tracer.counter("cache_misses", cache.misses)
+            tracer.counter("cache_corrupt", cache.corrupt)
+        scheduler.run(pending)
+        summaries = scheduler.summaries
+        failures = sorted(scheduler.failures,
+                          key=lambda f: (f.name, f.tp_percent))
+
+        if journal is not None:
+            journal.record(
+                "sweep_end",
+                ok=not failures,
+                failed=[f.label for f in failures],
+                retries=scheduler.retries,
+                timeouts=scheduler.timeouts,
+                worker_crashes=scheduler.crashes,
+                cancelled=scheduler.cancelled,
+            )
+    finally:
+        if journal is not None:
+            journal.close()
+
+    if cache is not None:
+        for event, count in (("hit", cache.hits), ("miss", cache.misses),
+                             ("corrupt", cache.corrupt),
+                             ("evict", cache.evictions)):
+            obs.inc("repro_cache_events_total", count, event=event)
 
     results: Dict[str, ExperimentResult] = {}
     for config in configs:

@@ -348,20 +348,6 @@ def _lint_gate(circuit: Circuit, config: FlowConfig, result: FlowResult,
     report.raise_on_error(context=f"lint gate {stage!r}")
 
 
-def _record_stage(result: "FlowResult", stage: str,
-                  seconds: float) -> None:
-    """Store one stage's wall seconds and emit its completion event.
-
-    The event rides the process-wide log (no-op by default) and
-    inherits whatever correlation context the caller bound (run_id,
-    job_id, cell), so per-stage telemetry lines up with the executor's
-    task lifecycle without threading ids through the flow.
-    """
-    result.stage_seconds[stage] = seconds
-    obs.emit("stage_done", stage=stage, seconds=seconds,
-             tp_percent=result.config.tp_percent)
-
-
 def run_flow(circuit: Circuit, library: Library,
              config: Optional[FlowConfig] = None) -> FlowResult:
     """Run the Figure 2 flow on ``circuit`` (modified in place).
@@ -403,7 +389,7 @@ def run_flow(circuit: Circuit, library: Library,
         result.drc = fix_electrical(circuit, library)
         sp.gauge("test_points", n_tp)
         sp.gauge("scan_chains", result.chains.n_chains)
-    _record_stage(result, "tpi_scan", clock() - t0)
+    result.stage_seconds["tpi_scan"] = clock() - t0
     validate(circuit).raise_on_error()
     if config.lint:
         # Stage-0 gate: the freshly DFT-prepared netlist must pass the
@@ -423,7 +409,7 @@ def run_flow(circuit: Circuit, library: Library,
             sp.counter("patterns", result.atpg.n_patterns)
             sp.counter("aborted_faults", result.atpg.aborted)
             sp.counter("redundant_faults", result.atpg.redundant)
-        _record_stage(result, "atpg", clock() - t0)
+        result.stage_seconds["atpg"] = clock() - t0
     result.trace = tracer.capture(trace_mark)
     return result
 
@@ -464,7 +450,7 @@ def _layout_phase(circuit: Circuit, library: Library,
         result.placement = placement
         sp.gauge("rows", plan.n_rows)
         sp.gauge("cells_placed", len(placement.positions))
-    _record_stage(result, "floorplan_place", clock() - t0)
+    result.stage_seconds["floorplan_place"] = clock() - t0
 
     # -- Step 3: layout-driven scan-chain reordering ----------------------
     t0 = clock()
@@ -488,7 +474,7 @@ def _layout_phase(circuit: Circuit, library: Library,
         te_buffers = [n for n in circuit.instances
                       if n not in before_buffers]
         sp.counter("te_buffers", len(te_buffers))
-    _record_stage(result, "scan_reorder", clock() - t0)
+    result.stage_seconds["scan_reorder"] = clock() - t0
 
     # -- Step 4: ECO, clock trees, fillers, routing -----------------------
     t0 = clock()
@@ -517,7 +503,7 @@ def _layout_phase(circuit: Circuit, library: Library,
         router = GlobalRouter(circuit, placement)
         result.congestion = router.route_all()
         result.routed = router.routed
-    _record_stage(result, "eco_cts_route", clock() - t0)
+    result.stage_seconds["eco_cts_route"] = clock() - t0
 
     # -- Step 5: extraction ----------------------------------------------
     t0 = clock()
@@ -525,7 +511,7 @@ def _layout_phase(circuit: Circuit, library: Library,
         chaos.checkpoint("extraction")
         result.parasitics = extract_all(circuit, placement, result.routed)
         sp.counter("nets_extracted", len(result.parasitics))
-    _record_stage(result, "extraction", clock() - t0)
+    result.stage_seconds["extraction"] = clock() - t0
 
     # -- Step 6: STA (with hold-fix ECO loop) ------------------------------
     t0 = clock()
@@ -600,7 +586,7 @@ def _layout_phase(circuit: Circuit, library: Library,
             sum(r.buffers_inserted for r in result.hold_fix_rounds),
         )
         sta_span.gauge("hold_violations_left", result.sta.hold_violations)
-    _record_stage(result, "sta", clock() - t0)
+    result.stage_seconds["sta"] = clock() - t0
 
     # Fillers last: the hold-fix ECO needs the row gaps the fillers
     # would otherwise occupy.  Fillers have no pins, so routing and

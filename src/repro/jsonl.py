@@ -1,9 +1,8 @@
 """Append-only JSON-lines log: the one durable writer and the one reader.
 
-The sweep journal (:class:`~repro.core.resilience.SweepJournal`), the
-daemon's job store (:class:`~repro.service.store.JobStore`) and the
-structured event reader (:func:`repro.obs.read_events`) all share one
-on-disk format — one JSON object per line — and one crash story:
+The sweep journal (:class:`~repro.core.resilience.SweepJournal`) and
+the daemon's job store (:class:`~repro.service.store.JobStore`) share
+one on-disk format — one JSON object per line — and one crash story:
 
 * :meth:`JsonlLog.append` writes, flushes and fsyncs before it
   returns, so a record is durable once it is visible, and a
@@ -15,8 +14,8 @@ on-disk format — one JSON object per line — and one crash story:
   after a restart the torn frame sits mid-file, and stopping there
   would discard everything appended behind it.
 
-Stdlib only and free of ``repro`` imports, so every layer (``obs``
-included) can use it without an import cycle.
+Stdlib only and free of ``repro`` imports, so every layer can use it
+without an import cycle.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ Silicon Ensemble's detailed placer did after its global stage.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.layout.geometry import Point
 from repro.layout.placement import Placement, _pack_row
@@ -29,7 +29,7 @@ class _HpwlCache:
         for name, inst in circuit.instances.items():
             if inst.cell.is_filler:
                 continue
-            self.nets_of[name] = list(set(inst.conns.values()))
+            self.nets_of[name] = list(dict.fromkeys(inst.conns.values()))
 
     def _net_points(self, net_name: str) -> List[Point]:
         net = self.circuit.nets[net_name]
@@ -55,9 +55,8 @@ class _HpwlCache:
         return (max(xs) - min(xs)) + (max(ys) - min(ys))
 
     def cost_around(self, cells: Tuple[str, ...]) -> float:
-        nets: Set[str] = set()
-        for cell in cells:
-            nets.update(self.nets_of.get(cell, ()))
+        nets = dict.fromkeys(net for cell in cells
+                             for net in self.nets_of.get(cell, ()))
         return sum(self.hpwl(net) for net in nets)
 
 

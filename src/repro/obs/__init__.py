@@ -1,7 +1,7 @@
-"""Observability layer: traces, metrics, events.
+"""Observability layer: traces and metrics.
 
 Zero-dependency telemetry for the Figure 2 flow, the sweep executor
-and the serving daemon, organised as three pillars (DESIGN.md §7,
+and the serving daemon, organised as two pillars (DESIGN.md §7,
 §12):
 
 1. **Traces** — :mod:`repro.obs.tracer` records span trees with
@@ -13,15 +13,17 @@ and the serving daemon, organised as three pillars (DESIGN.md §7,
    gauges and log-bucketed histograms;
    :mod:`repro.obs.promtext` encodes it in Prometheus text exposition
    format (and validates scrapes).
-3. **Events** — :mod:`repro.obs.events` is a leveled JSONL event log
-   with ``run_id``/``job_id``/cell correlation via :func:`bind`.
+
+What happened to each sweep task is recorded once, in the sweep
+journal (:class:`~repro.core.resilience.SweepJournal`), and each
+daemon job's lifecycle in the job store; neither is telemetry.
 
 The performance record of the reproduction is ``benchmarks/perf``,
 which builds on the tracer; nothing here stores bench timings.
 
 Everything is off by default and free when off: the process-wide
-tracer, registry and event log are shared null singletons until a
-caller installs real ones::
+tracer and registry are shared null singletons until a caller
+installs real ones::
 
     from repro import obs
 
@@ -30,18 +32,6 @@ caller installs real ones::
         obs.write_chrome_trace("out.json", [tracer.trace()])
 """
 
-from repro.obs.events import (
-    NULL_EVENT_LOG,
-    EventLog,
-    NullEventLog,
-    bind,
-    emit,
-    events_active,
-    get_event_log,
-    install_event_log,
-    install_events_from_env,
-    read_events,
-)
 from repro.obs.export import (
     chrome_trace,
     format_trace_summary,
@@ -82,38 +72,28 @@ from repro.obs.tracer import (
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
-    "EventLog",
     "Histogram",
     "MetricsRegistry",
-    "NULL_EVENT_LOG",
     "NULL_REGISTRY",
     "NULL_TRACER",
-    "NullEventLog",
     "NullRegistry",
     "NullTracer",
     "Span",
     "Trace",
     "Tracer",
-    "bind",
     "chrome_trace",
     "counter",
-    "emit",
-    "events_active",
     "format_trace_summary",
     "gauge",
-    "get_event_log",
     "get_registry",
     "get_tracer",
     "in_span",
     "inc",
     "install",
-    "install_event_log",
-    "install_events_from_env",
     "install_registry",
     "log_buckets",
     "metrics_active",
     "observe",
-    "read_events",
     "render_registry",
     "set_gauge",
     "span",

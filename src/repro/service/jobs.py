@@ -346,12 +346,6 @@ class JobManager:
                               event="recovered")
             self.registry.inc("repro_jobs_total", len(resumable),
                               event="interrupted")
-            obs.emit("service_recovered",
-                     "warn" if resumable or replay.torn_lines
-                     else "info",
-                     jobs=len(replay.records),
-                     interrupted=len(resumable),
-                     torn_lines=replay.torn_lines)
         return resumable
 
     def _describe_metrics(self) -> None:
@@ -485,8 +479,6 @@ class JobManager:
         self.registry.inc("repro_jobs_total", 1, event="submitted")
         if job.coalesced_with:
             self.registry.inc("repro_jobs_total", 1, event="coalesced")
-        obs.emit("job_submitted", job_id=job.id, circuit=request.circuit,
-                 spec=job.spec[:12], coalesced_with=job.coalesced_with)
         self._queue.put(job)
         return job.record()
 
@@ -529,8 +521,6 @@ class JobManager:
             if delta > 0:
                 self.registry.inc("repro_journal_torn_lines_total",
                                   delta)
-                obs.emit("journal_torn_lines", "warn", job_id=job_id,
-                         torn_lines=torn)
         return progress_from_journal(events, torn_lines=torn)
 
     def report(self, job_id: str) -> Optional[SweepReport]:
@@ -555,8 +545,6 @@ class JobManager:
                 self.store.record_transition(job.record())
             elif job.state == JOB_RUNNING:
                 job.cancel_event.set()
-            obs.emit("job_cancel_requested", "warn", job_id=job.id,
-                     state=job.state)
             return job.record()
         # The worker notices the event via ExecutorConfig.cancel_check
         # and finalises the running job as cancelled itself.
@@ -656,8 +644,6 @@ class JobManager:
                 for event in ("expired", "cancelled"):
                     self.registry.inc("repro_jobs_total", 1, event=event)
                 self.store.record_transition(job.record())
-                obs.emit("job_deadline_expired", "warn", job_id=job.id,
-                         deadline_s=job.request.deadline_s)
                 return
             job.state = JOB_RUNNING
             job.started_at = time.time()
@@ -668,63 +654,55 @@ class JobManager:
         self.registry.observe("repro_job_queue_wait_seconds", queue_wait)
         run_from = job.tracer.now()
         job.tracer.record_span("queue_wait", 0.0, run_from)
-        with obs.bind(job_id=job.id):
-            obs.emit("job_start", circuit=job.request.circuit,
-                     jobs=job.request.jobs, queue_wait_s=queue_wait)
-            try:
-                experiment = self._build_experiment(job.request)
-                report = run_sweeps_report([experiment],
-                                           self._executor_config(job))
-            except Exception as exc:  # engine crash, not a cell hole
-                with self._lock:
-                    self._running.pop(job.id, None)
-                    job.error = f"{type(exc).__name__}: {exc}"
-                    job.state = JOB_FAILED
-                    job.finished_at = time.time()
-                    job.finished_mono = time.monotonic()
-                    self.store.record_transition(job.record())
-                self.registry.inc("repro_jobs_total", 1, event="failed")
-                obs.emit("job_failed", "error", error=job.error)
-                self._finish_trace(job, None, run_from)
-                return
+        try:
+            experiment = self._build_experiment(job.request)
+            report = run_sweeps_report([experiment],
+                                       self._executor_config(job))
+        except Exception as exc:  # engine crash, not a cell hole
             with self._lock:
                 self._running.pop(job.id, None)
-                job.report = report
+                job.error = f"{type(exc).__name__}: {exc}"
+                job.state = JOB_FAILED
                 job.finished_at = time.time()
                 job.finished_mono = time.monotonic()
-                if report.cancelled or job.cancel_event.is_set():
-                    job.state = JOB_CANCELLED
-                    if job.deadline_expired:
-                        job.error = (
-                            f"deadline_s={job.request.deadline_s:g} "
-                            "expired mid-run; the job was cancelled")
-                        self.registry.inc("repro_jobs_total", 1,
-                                          event="expired")
-                else:
-                    job.state = JOB_DONE
-                self._durations.append(
-                    job.finished_mono - job.started_mono)
-                self.store.record_transition(
-                    job.record(),
-                    report=(report_to_wire(report)
-                            if job.state == JOB_DONE else None))
-            if report.cache_write_failures:
-                # The executor already counted each failed write; the
-                # job only flips the daemon into degraded mode.
-                self._enter_degraded_mode(
-                    f"cache write failed during job {job.id} "
-                    f"({report.cache_write_failures} failure(s))")
-            self.registry.inc(
-                "repro_jobs_total", 1,
-                event=("cancelled" if job.state == JOB_CANCELLED
-                       else "completed"))
-            self.registry.observe("repro_job_seconds",
-                                  job.finished_mono - job.started_mono)
-            obs.emit("job_end", state=job.state,
-                     cells_done=report.successful_cells(),
-                     cells_failed=len(report.failures),
-                     seconds=job.finished_mono - job.started_mono)
-            self._finish_trace(job, report, run_from)
+                self.store.record_transition(job.record())
+            self.registry.inc("repro_jobs_total", 1, event="failed")
+            self._finish_trace(job, None, run_from)
+            return
+        with self._lock:
+            self._running.pop(job.id, None)
+            job.report = report
+            job.finished_at = time.time()
+            job.finished_mono = time.monotonic()
+            if report.cancelled or job.cancel_event.is_set():
+                job.state = JOB_CANCELLED
+                if job.deadline_expired:
+                    job.error = (
+                        f"deadline_s={job.request.deadline_s:g} "
+                        "expired mid-run; the job was cancelled")
+                    self.registry.inc("repro_jobs_total", 1,
+                                      event="expired")
+            else:
+                job.state = JOB_DONE
+            self._durations.append(
+                job.finished_mono - job.started_mono)
+            self.store.record_transition(
+                job.record(),
+                report=(report_to_wire(report)
+                        if job.state == JOB_DONE else None))
+        if report.cache_write_failures:
+            # The executor already counted each failed write; the
+            # job only flips the daemon into degraded mode.
+            self._enter_degraded_mode(
+                f"cache write failed during job {job.id} "
+                f"({report.cache_write_failures} failure(s))")
+        self.registry.inc(
+            "repro_jobs_total", 1,
+            event=("cancelled" if job.state == JOB_CANCELLED
+                   else "completed"))
+        self.registry.observe("repro_job_seconds",
+                              job.finished_mono - job.started_mono)
+        self._finish_trace(job, report, run_from)
 
     def _enter_degraded_mode(self, reason: str) -> None:
         """Flip the manager into read-only-cache degraded mode.
@@ -743,7 +721,6 @@ class JobManager:
             self._degraded = True
             self._degraded_reason = reason
         self.registry.set("repro_degraded", 1)
-        obs.emit("service_degraded", "error", reason=reason)
 
     @property
     def degraded(self) -> bool:
@@ -777,7 +754,6 @@ class JobManager:
                 return
             self._draining = True
         self.registry.set("repro_draining", 1)
-        obs.emit("service_draining", "warn")
 
     def drain(self, timeout_s: float = 30.0) -> bool:
         """Wait for in-flight and queued jobs to finish.

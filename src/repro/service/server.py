@@ -289,12 +289,6 @@ class SweepService:
         seconds = time.monotonic() - t0
         route = next((p for p in path.split("/") if p), "/")
         obs.observe("repro_request_seconds", seconds, route=route)
-        obs.emit("request",
-                 "warn" if status >= 400
-                 else "debug" if route in ("healthz", "metrics")
-                 else "info",
-                 method=method.upper(), path=path, status=status,
-                 seconds=seconds)
         return status, payload, extra
 
     # -- routing ---------------------------------------------------------

@@ -36,8 +36,10 @@ from repro.core import (
     summarize,
 )
 from repro.core import executor as executor_mod
+from repro.core.resilience import read_journal
 from repro.library import cmos130
 from repro.lint import LintError
+from repro.service.protocol import progress_from_journal
 
 #: Cheap ATPG knobs: full flow semantics at a fraction of the runtime.
 FAST_ATPG = AtpgConfig(seed=7, backtrack_limit=24, max_deterministic=60,
@@ -129,19 +131,42 @@ def test_warm_cache_reruns_no_flow_stage(warm_result):
         assert sum(run.cached_stage_seconds.values()) > 0.0
 
 
-def test_warm_cells_reach_the_event_log(parallel_result,
-                                        sweep_cache_dir):
-    log = obs.EventLog(level="debug", memory=True)
-    previous = obs.install_event_log(log)
+@pytest.fixture(scope="module")
+def warm_journal(parallel_result, sweep_cache_dir):
+    """A warm inline sweep's journal events and metrics registry."""
+    registry = obs.MetricsRegistry()
+    previous = obs.install_registry(registry)
     try:
-        run_sweep(small_experiment(),
-                  ExecutorConfig(jobs=1, cache_dir=sweep_cache_dir))
+        report = run_sweeps_report(
+            [small_experiment()],
+            ExecutorConfig(jobs=1, cache_dir=sweep_cache_dir))
     finally:
-        obs.install_event_log(previous)
-    cached = [e for e in log.events if e["event"] == "task_cached"]
-    assert sorted(e["cell"] for e in cached) == [
-        f"s38417@{pct:g}%" for pct in LEVELS]
-    assert all(e["run_id"] for e in cached)
+        obs.install_registry(previous)
+    return read_journal(report.journal_path), registry
+
+
+def test_warm_cells_reach_the_journal(warm_journal):
+    events, _ = warm_journal
+    planned = {(c["name"], c["tp_percent"]): c["key"]
+               for c in events[0]["cells"]}
+    assert sorted(planned) == [("s38417", pct) for pct in LEVELS]
+    cached = [e for e in events if e["event"] == "task_cached"]
+    assert len(cached) == len(LEVELS)
+    assert {(e["name"], e["tp_percent"]): e["key"]
+            for e in cached} == planned
+    # The daemon's progress endpoint counts every cached cell as done.
+    progress = progress_from_journal(events)
+    assert progress["total"] == progress["done"] == len(LEVELS)
+    assert progress["finished"]
+
+
+def test_cached_cells_keep_their_circuit_label(warm_journal):
+    _, registry = warm_journal
+    series = {labels: counter.value for labels, counter
+              in registry.get("repro_cells_total").series.items()}
+    # One series, labelled by circuit like the ok and failed outcomes.
+    assert series == {
+        (("circuit", "s38417"), ("outcome", "cached")): len(LEVELS)}
 
 
 # ----------------------------------------------------------------------
