@@ -41,8 +41,7 @@ def _stage_seconds(placer: str) -> dict:
     or cache hits)."""
     report = api.sweep_report("s38417", scale=SWEEP_SCALE,
                               tp_percents=TP_PERCENTS, jobs=1,
-                              use_cache=False, atpg=FAST_ATPG,
-                              placer=placer)
+                              atpg=FAST_ATPG, placer=placer)
     assert not report.failures, report.failures
     stages: dict = {}
     for result in report.results.values():

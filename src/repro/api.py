@@ -35,7 +35,7 @@ from repro.core.executor import (
     run_sweeps_report as _run_sweeps_report,
 )
 from repro.core.experiment import ExperimentConfig, ExperimentResult
-from repro.core.flow import FlowConfig, FlowResult, run_flow
+from repro.core.flow import FlowConfig, FlowResult, prepare_dft, run_flow
 from repro.core.resilience import SweepReport
 from repro.layout.sa import PLACERS
 from repro.library.cell import Library
@@ -186,7 +186,8 @@ def lint_netlist(
     Two modes, matching :func:`run`'s circuit argument:
 
     * A registered benchmark *name*: a fresh netlist is built and taken
-      through the flow's stage-0 DFT prep (TPI at ``tp_percent``, scan
+      through the flow's own stage-0 DFT prep
+      (:func:`repro.core.flow.prepare_dft`: TPI at ``tp_percent``, scan
       insertion, electrical fix-up) under the registry's paper-accurate
       defaults, then linted — the same view the ``FlowConfig.lint``
       stage-0 gate sees.
@@ -211,33 +212,13 @@ def lint_netlist(
     """
     from repro.lint.netlist_rules import lint_netlist as _lint
 
-    lib = library or cmos130()
     if isinstance(circuit, str):
-        name = circuit
         flow_config = _resolve_config(
-            name, config, dict(options, tp_percent=tp_percent)
+            circuit, config, dict(options, tp_percent=tp_percent)
         )
-        netlist = load_circuit(name, scale=scale)
-        n_tp = round(
-            flow_config.tp_percent / 100.0 * netlist.num_flip_flops
-        )
-        if n_tp > 0:
-            from repro.tpi.insertion import TpiConfig, insert_test_points
-
-            insert_test_points(netlist, lib, TpiConfig(
-                n_test_points=n_tp,
-                exclude_nets=set(flow_config.exclude_nets),
-            ))
-        from repro.netlist.fanout import fix_electrical
-        from repro.scan.insertion import insert_scan
-
-        chains = insert_scan(
-            netlist, lib,
-            max_chain_length=flow_config.max_chain_length,
-            n_chains=flow_config.n_chains,
-        )
-        fix_electrical(netlist, lib)
-        circuit = netlist
+        prepared = prepare_dft(load_circuit(circuit, scale=scale),
+                               library or cmos130(), flow_config)
+        circuit, chains = prepared.circuit, prepared.chains
     else:
         flow_config = _resolve_config(None, config, dict(options))
     return _lint(
@@ -281,23 +262,16 @@ def _build_experiment(
 def _build_executor(
     jobs: int,
     cache_dir: Optional[str],
-    use_cache: bool,
     trace: bool,
     retries: int,
     task_timeout_s: Optional[float],
-    resume: bool,
     fail_fast: bool,
     chaos: Optional[FaultPlan],
     cache_max_bytes: Optional[int] = None,
 ) -> ExecutorConfig:
-    if resume and not cache_dir:
-        raise ValueError(
-            "resume=True needs a cache_dir: resume skips completed "
-            "cells via the cache and the journal stored next to it"
-        )
     return ExecutorConfig(
-        jobs=jobs, cache_dir=cache_dir if use_cache else None, trace=trace,
-        retries=retries, task_timeout_s=task_timeout_s, resume=resume,
+        jobs=jobs, cache_dir=cache_dir, trace=trace,
+        retries=retries, task_timeout_s=task_timeout_s,
         fail_fast=fail_fast, chaos=chaos, cache_max_bytes=cache_max_bytes,
     )
 
@@ -311,13 +285,11 @@ def sweep(
     tp_percents: Optional[Sequence[float]] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    use_cache: bool = True,
     cache_max_bytes: Optional[int] = None,
     trace: bool = False,
     name: Optional[str] = None,
     retries: int = 2,
     task_timeout_s: Optional[float] = None,
-    resume: bool = False,
     fail_fast: bool = False,
     chaos: Optional[FaultPlan] = None,
     **options: Any,
@@ -340,9 +312,9 @@ def sweep(
         jobs: Worker processes; 1 runs every level inline in this
             process.  Results are bit-identical at every job count.
         cache_dir: Content-addressed result cache directory (also
-            hosts the sweep journal).
-        use_cache: Read/write the cache (``False`` forces fresh runs,
-            as if ``cache_dir`` were unset).
+            hosts the sweep journal); None runs every cell fresh.  A
+            re-run with the same directory serves every finished cell
+            from it, so it continues a killed sweep.
         cache_max_bytes: Size cap of the result cache; when the cached
             artifacts exceed it, least-recently-used entries are
             evicted (None = unbounded, the historical behaviour).
@@ -355,9 +327,6 @@ def sweep(
         task_timeout_s: Watchdog per-task timeout; a task past it is
             killed (pool replaced) and charged a retry.  Needs
             ``jobs > 1``: an inline run cannot be preempted.
-        resume: Continue a previous sweep: completed cells are served
-            from the cache/journal, only the rest run.  Needs
-            ``cache_dir``.
         fail_fast: Abort remaining cells after the first permanent
             failure instead of degrading gracefully.
         chaos: A :class:`repro.chaos.FaultPlan` of scripted failures
@@ -376,9 +345,9 @@ def sweep(
     """
     experiment = _build_experiment(circuit, library, config, scale,
                                    tp_percents, name, options)
-    executor = _build_executor(jobs, cache_dir, use_cache, trace,
-                               retries, task_timeout_s, resume,
-                               fail_fast, chaos, cache_max_bytes)
+    executor = _build_executor(jobs, cache_dir, trace, retries,
+                               task_timeout_s, fail_fast, chaos,
+                               cache_max_bytes)
     return _run_sweep(experiment, executor)
 
 
@@ -391,13 +360,11 @@ def sweep_report(
     tp_percents: Optional[Sequence[float]] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    use_cache: bool = True,
     cache_max_bytes: Optional[int] = None,
     trace: bool = False,
     name: Optional[str] = None,
     retries: int = 2,
     task_timeout_s: Optional[float] = None,
-    resume: bool = False,
     fail_fast: bool = False,
     chaos: Optional[FaultPlan] = None,
     **options: Any,
@@ -414,7 +381,7 @@ def sweep_report(
     """
     experiment = _build_experiment(circuit, library, config, scale,
                                    tp_percents, name, options)
-    executor = _build_executor(jobs, cache_dir, use_cache, trace,
-                               retries, task_timeout_s, resume,
-                               fail_fast, chaos, cache_max_bytes)
+    executor = _build_executor(jobs, cache_dir, trace, retries,
+                               task_timeout_s, fail_fast, chaos,
+                               cache_max_bytes)
     return _run_sweeps_report([experiment], executor)

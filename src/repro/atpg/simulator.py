@@ -167,10 +167,3 @@ class BitSimulator:
                 if value:
                     words[net] |= 1 << (bit + offset)
         return words
-
-    def outputs_of(self, values: List[int]) -> Dict[str, int]:
-        """Extract observable-net words from a simulation result."""
-        return {
-            net: values[self.net_index[net]]
-            for net in self.view.output_nets
-        }

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import difflib
 import json
 import os
 import sys
@@ -84,13 +83,8 @@ def _validate_circuit(parser: argparse.ArgumentParser, args) -> None:
     traceback from deep inside the API.
     """
     name = getattr(args, "circuit", None)
-    if name is None or name in CIRCUITS:
-        return
-    choices = sorted(CIRCUITS)
-    close = difflib.get_close_matches(name, choices, n=1)
-    hint = f" (did you mean {close[0]!r}?)" if close else ""
-    parser.error(f"unknown circuit {name!r}{hint}; choose from "
-                 + ", ".join(choices))
+    if name is not None and name not in CIRCUITS:
+        parser.error(api._unknown_circuit_error(name).args[0])
 
 
 def _tp_percents(text: str) -> tuple:
@@ -214,13 +208,11 @@ def cmd_sweep(args) -> int:
     degraded sweep (some cells permanently failed) still prints the
     tables — with holes — plus a failure report, and exits 3.
     """
-    cache_dir = None if args.no_cache else args.cache_dir
     chaos_plan = FaultPlan.load(args.chaos) if args.chaos else None
     print(f"[executor] jobs={args.jobs} "
-          f"cache={cache_dir or 'off'} retries={args.retries}"
+          f"cache={args.cache_dir or 'off'} retries={args.retries}"
           + (f" timeout={args.task_timeout:g}s"
              if args.task_timeout else "")
-          + (" resume" if args.resume else "")
           + (" fail-fast" if args.fail_fast else "")
           + (f" chaos={args.chaos}" if args.chaos else ""))
     scope = (obs.tracing(label=f"sweep:{args.circuit}") if args.trace
@@ -228,10 +220,10 @@ def cmd_sweep(args) -> int:
     with scope as tracer:
         report = api.sweep_report(
             args.circuit, scale=args.scale, tp_percents=args.tp_percents,
-            jobs=args.jobs, cache_dir=cache_dir,
+            jobs=args.jobs, cache_dir=args.cache_dir,
             cache_max_bytes=args.cache_max_bytes, trace=bool(args.trace),
             retries=args.retries, task_timeout_s=args.task_timeout,
-            resume=args.resume, fail_fast=args.fail_fast,
+            fail_fast=args.fail_fast,
             chaos=chaos_plan, **_flow_overrides(args))
     for failure in report.failures:
         if isinstance(failure.exception, LintError):
@@ -408,7 +400,6 @@ def cmd_serve(args) -> int:
         cache_dir=args.cache_dir,
         job_workers=args.job_workers,
         cache_max_bytes=args.cache_max_bytes,
-        use_cache=not args.no_cache,
         max_pending=args.max_pending,
         drain_timeout_s=args.drain_timeout,
     ))
@@ -567,9 +558,9 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="worker processes for the sweep levels")
     p_sweep.add_argument("--cache-dir", default=None,
-                         help="content-addressed result cache directory")
-    p_sweep.add_argument("--no-cache", action="store_true",
-                         help="ignore --cache-dir (force fresh runs)")
+                         help="content-addressed result cache "
+                              "directory; a re-run on it serves the "
+                              "finished cells (default: no cache)")
     p_sweep.add_argument("--cache-max-bytes", type=int, default=None,
                          metavar="BYTES",
                          help="size cap of the result cache; above it "
@@ -589,9 +580,6 @@ def main(argv=None) -> int:
                          metavar="SECONDS",
                          help="watchdog per-task timeout; a hung task "
                               "is killed (pool replaced) and retried")
-    p_sweep.add_argument("--resume", action="store_true",
-                         help="continue a previous sweep from its "
-                              "cache + journal (needs --cache-dir)")
     p_sweep.add_argument("--fail-fast", action="store_true",
                          help="abort remaining cells after the first "
                               "permanent failure")
@@ -679,8 +667,6 @@ def main(argv=None) -> int:
                          metavar="BYTES",
                          help="LRU size cap of the shared cache "
                               "(default: unbounded)")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="disable the shared artifact cache")
     p_serve.add_argument("--max-pending", type=int, default=None,
                          metavar="N",
                          help="admission cap: reject submits with "
@@ -784,11 +770,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     _validate_circuit(parser, args)
-    if getattr(args, "resume", False) and not (
-            args.cache_dir and not args.no_cache):
-        parser.error("--resume needs --cache-dir (and not --no-cache): "
-                     "resume skips completed cells via the cache and "
-                     "its journal")
     try:
         return args.func(args)
     except ServiceError as err:

@@ -8,7 +8,8 @@ embarrassingly parallel.  Every sweep runs through this module
 one scheduling loop fans sweep levels (and whole circuits) out over a
 :class:`concurrent.futures.ProcessPoolExecutor`, or runs them inline in
 this process at ``jobs=1``, and memoises finished levels in an on-disk
-cache so re-runs and partially-failed sweeps resume instantly.
+cache, so a re-run on the same cache directory (after a kill, a crash
+or failed cells) computes only the levels that are missing.
 
 Three ideas, in order of appearance:
 
@@ -57,7 +58,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
 from repro import chaos, obs
@@ -72,10 +73,8 @@ from repro.core.resilience import (
     TaskFailure,
     TaskTimeoutError,
     WorkerCrashError,
-    completed_keys,
     format_exception_for_journal,
     is_retryable,
-    read_journal,
 )
 from repro.library.cell import Library
 from repro.library.cmos130 import cmos130
@@ -520,6 +519,8 @@ class ExecutorConfig:
             pickling of task specs) — handy for debugging and for
             lambdas as circuit factories.
         cache_dir: Result-cache directory; None disables caching.
+            A re-run on the same directory serves every finished cell
+            from it, so a killed sweep continues where it stopped.
         trace: Have every worker record a span tree for its flow run
             (returned on ``FlowSummary.trace``), and the parent record
             per-level queue-wait/worker-run spans plus cache counters
@@ -544,10 +545,6 @@ class ExecutorConfig:
             cell failure; unstarted cells are reported as aborted.
             Off (the default), the sweep degrades gracefully and
             returns every cell it could compute.
-        resume: Append to (rather than truncate) the sweep journal and
-            log cells served from the cache as resumed.  Completed
-            cells are recognised by their content-hash keys, so a
-            killed sweep continues where it stopped.
         chaos: Deterministic fault-injection plan (tests/CI only); the
             ``REPRO_CHAOS`` environment variable is the CLI-side way
             to set it.  Never part of the cache key.
@@ -580,7 +577,6 @@ class ExecutorConfig:
     backoff_base_s: float = 0.1
     backoff_max_s: float = 30.0
     fail_fast: bool = False
-    resume: bool = False
     chaos: Optional[FaultPlan] = None
     cache_max_bytes: Optional[int] = None
     journal: Optional[str] = None
@@ -607,8 +603,9 @@ class ExecutorConfig:
 
     def journal_path(self) -> Optional[Path]:
         """Where this sweep journals: the explicit ``journal`` path
-        when set, else alongside the cache (no cache, no resume state
-        to track)."""
+        when set, else alongside the cache (no cache, no journal).
+        Runs append to it, one ``sweep_start`` … ``sweep_end`` block
+        each."""
         if self.journal:
             return Path(self.journal)
         if self.cache_dir:
@@ -707,8 +704,8 @@ def _plan_levels(config: ExperimentConfig,
     worker's fresh build hashes identically); the built netlist is
     dropped, never pickled.  The chaos plan (if any) rides on the task
     spec but never enters the cache key: a chaos run and a clean run
-    of the same configs share keys, which is what lets ``--resume``
-    with the plan disabled complete a chaos-holed sweep.
+    of the same configs share keys, which is what lets a re-run with
+    the plan disabled complete a chaos-holed sweep.
     """
     library = config.library or cmos130()
     tasks = []
@@ -874,7 +871,7 @@ class _Scheduler:
             self.journal.record(event, key=task.cache_key, name=task.name,
                                 tp_percent=task.tp_percent, **data)
 
-    def serve_cached(self, task: _LevelTask, resumed: Set[str]) -> bool:
+    def serve_cached(self, task: _LevelTask) -> bool:
         """Serve ``task`` from the cache; False when it must run."""
         stored = self.cache.get(task.cache_key) if self.cache else None
         if stored is None:
@@ -884,8 +881,7 @@ class _Scheduler:
         self.tracer.record_span(f"cache_hit:{task.label}", now, now)
         obs.inc("repro_cells_total", 1, circuit=task.name,
                 outcome="cached")
-        self._journal_event("task_resumed" if task.cache_key in resumed
-                            else "task_cached", task)
+        self._journal_event("task_cached", task)
         return True
 
     def _success(self, task: _LevelTask, attempt: int,
@@ -1195,10 +1191,10 @@ def run_sweeps_report(
     ``report.results`` — Tables 1/2/3 render with explicit holes
     instead of the sweep aborting.
 
-    With a cache directory configured, a ``journal.jsonl`` is written
-    next to the cache entries; ``executor.resume`` appends to it and
-    serves previously completed cells (matched by content-hash key)
-    from the cache, so a killed sweep continues where it stopped.
+    With a cache directory configured, a ``journal.jsonl`` is appended
+    next to the cache entries.  Every cell whose content-hash key is
+    cached is served from the cache, so a killed sweep re-run on the
+    same directory continues where it stopped.
     """
     executor = executor or ExecutorConfig()
     cache = executor.cache
@@ -1211,13 +1207,8 @@ def run_sweeps_report(
 
     started_at = time.time()
     started_mono = time.monotonic()
-    journal: Optional[SweepJournal] = None
-    resumed: Set[str] = set()
     jpath = executor.journal_path()
-    if jpath is not None:
-        if executor.resume:
-            resumed = completed_keys(read_journal(jpath))
-        journal = SweepJournal(jpath, resume=executor.resume)
+    journal = SweepJournal(jpath) if jpath is not None else None
     # The journal handle must not outlive the sweep even when a
     # scheduler or cache failure unwinds: an open handle leaks the
     # fd and (on a crashed daemon worker) can hold a torn tail
@@ -1226,7 +1217,6 @@ def run_sweeps_report(
         if journal is not None:
             journal.record(
                 "sweep_start",
-                resume=executor.resume,
                 jobs=executor.jobs,
                 retries=executor.retries,
                 task_timeout_s=executor.task_timeout_s,
@@ -1240,7 +1230,7 @@ def run_sweeps_report(
 
         scheduler = _Scheduler(executor, cache, tracer, journal, plan)
         pending = [task for task in tasks
-                   if not scheduler.serve_cached(task, resumed)]
+                   if not scheduler.serve_cached(task)]
         if cache is not None:
             tracer.counter("cache_hits", cache.hits)
             tracer.counter("cache_misses", cache.misses)

@@ -348,6 +348,35 @@ def _lint_gate(circuit: Circuit, config: FlowConfig, result: FlowResult,
     report.raise_on_error(context=f"lint gate {stage!r}")
 
 
+def prepare_dft(circuit: Circuit, library: Library,
+                config: FlowConfig) -> FlowResult:
+    """Flow step 1 on ``circuit`` (modified in place): TPI at
+    ``config.tp_percent`` of the flip-flops, scan insertion and the
+    electrical fix-up.
+
+    Returns a :class:`FlowResult` with the DFT fields filled in.
+    :func:`repro.api.lint_netlist` audits its netlist, which is the
+    one the stage-0 lint gate sees.
+    """
+    result = FlowResult(circuit=circuit, config=config)
+    n_tp = round(config.tp_percent / 100.0 * circuit.num_flip_flops)
+    result.n_test_points = n_tp
+    if n_tp > 0:
+        result.tpi = insert_test_points(circuit, library, TpiConfig(
+            n_test_points=n_tp,
+            exclude_nets=set(config.exclude_nets),
+        ))
+    result.chains = insert_scan(
+        circuit, library,
+        max_chain_length=config.max_chain_length,
+        n_chains=config.n_chains,
+    )
+    # Synthesis-style electrical DRC: bound fanout (TSFF outputs and
+    # the TE/TR control nets in particular), size overloaded drivers.
+    result.drc = fix_electrical(circuit, library)
+    return result
+
+
 def run_flow(circuit: Circuit, library: Library,
              config: Optional[FlowConfig] = None) -> FlowResult:
     """Run the Figure 2 flow on ``circuit`` (modified in place).
@@ -362,7 +391,6 @@ def run_flow(circuit: Circuit, library: Library,
         The populated :class:`FlowResult`.
     """
     config = config or FlowConfig()
-    result = FlowResult(circuit=circuit, config=config)
     clock = time.perf_counter
     tracer = obs.get_tracer()
     trace_mark = tracer.mark()
@@ -371,23 +399,8 @@ def run_flow(circuit: Circuit, library: Library,
     t0 = clock()
     with obs.span("tpi_scan") as sp:
         chaos.checkpoint("tpi_scan")
-        n_ff_before = circuit.num_flip_flops
-        n_tp = round(config.tp_percent / 100.0 * n_ff_before)
-        result.n_test_points = n_tp
-        if n_tp > 0:
-            result.tpi = insert_test_points(circuit, library, TpiConfig(
-                n_test_points=n_tp,
-                exclude_nets=set(config.exclude_nets),
-            ))
-        result.chains = insert_scan(
-            circuit, library,
-            max_chain_length=config.max_chain_length,
-            n_chains=config.n_chains,
-        )
-        # Synthesis-style electrical DRC: bound fanout (TSFF outputs and
-        # the TE/TR control nets in particular), size overloaded drivers.
-        result.drc = fix_electrical(circuit, library)
-        sp.gauge("test_points", n_tp)
+        result = prepare_dft(circuit, library, config)
+        sp.gauge("test_points", result.n_test_points)
         sp.gauge("scan_chains", result.chains.n_chains)
     result.stage_seconds["tpi_scan"] = clock() - t0
     validate(circuit).raise_on_error()

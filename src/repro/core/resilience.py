@@ -21,8 +21,8 @@ executor composes into a survivable sweep:
   so tables render with explicit holes instead of aborting.
 * **Crash-safe journal** — :class:`SweepJournal` appends one JSON line
   per task event (fsync'd), so a killed process leaves a readable
-  record and ``--resume`` can skip completed cells via their
-  content-hash keys.
+  record; a re-run on the same cache directory serves the finished
+  cells from the cache and appends its own record behind it.
 
 Everything here is stdlib-only and picklable where it crosses a
 process or cache boundary.
@@ -35,7 +35,7 @@ import time
 import traceback
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.jsonl import JsonlLog, read_jsonl
 
@@ -294,11 +294,13 @@ class SweepJournal(JsonlLog):
 
     One JSON object per line, written through
     :class:`~repro.jsonl.JsonlLog` (fsync'd per event, torn tail
-    isolated on resume), so a killed process leaves at worst one torn
-    trailing line (which :func:`read_journal` skips).  Events carry the
-    cell's content-hash ``key`` — the same key the result cache uses —
-    so a ``--resume`` run maps journal history onto the new task plan
-    even though it is a different process.
+    isolated on reopen), so a killed process leaves at worst one torn
+    trailing line (which :func:`read_journal` skips).  Every run
+    against one journal appends one ``sweep_start`` … ``sweep_end``
+    block; a reader that wants one run starts at its ``sweep_start``.
+    Events carry the cell's content-hash ``key`` — the same key the
+    result cache uses — so the blocks of a killed sweep and its re-run
+    line up cell by cell.
 
     Event vocabulary (the ``event`` field):
 
@@ -309,21 +311,16 @@ class SweepJournal(JsonlLog):
         chain and whether a retry was scheduled.
     ``task_exhausted``
         The cell is permanently failed (budget spent or fatal error).
-    ``task_resumed``
-        A completed cell served from the cache on a resumed sweep.
     ``task_cached``
-        A cell served from the result cache outside resume (warm
-        cache, or another tenant of a shared service cache computed
-        it first).
+        A cell served from the result cache: finished before a crash,
+        by an earlier run (warm cache), or by another tenant of a
+        shared service cache.
     ``task_aborted``
         The cell never ran: the sweep aborted (fail-fast) or was
         cancelled before scheduling it.
     ``sweep_end``
         Final tally.
     """
-
-    def __init__(self, path, resume: bool = False):
-        super().__init__(path, truncate=not resume)
 
     def record(self, event: str, **data: Any) -> None:
         """Append one event line; durable before return.
@@ -344,20 +341,6 @@ def read_journal(path) -> List[Dict[str, Any]]:
     count use :func:`repro.jsonl.read_jsonl` directly.
     """
     return read_jsonl(path)[0]
-
-
-def completed_keys(events: Iterable[Dict[str, Any]]) -> Set[str]:
-    """Cache keys of cells a journal records as completed.
-
-    A later failure for the same key (a re-run without the cache,
-    say) does not un-complete it: the cache entry either exists — and
-    resume serves it — or it misses and the cell re-runs anyway.
-    """
-    done: Set[str] = set()
-    for event in events:
-        if event.get("event") == "task_done" and event.get("key"):
-            done.add(event["key"])
-    return done
 
 
 def format_exception_for_journal(exc: BaseException) -> Dict[str, Any]:

@@ -61,10 +61,6 @@ class NetParasitics:
         """Elmore delay to one sink (0 for unknown sinks)."""
         return self.elmore_ps.get(sink, 0.0)
 
-    def worst_elmore_ps(self) -> float:
-        """Largest driver-to-sink delay."""
-        return max(self.elmore_ps.values(), default=0.0)
-
 
 def _quantize(p: Point) -> Tuple[int, int]:
     """Snap a point to a 0.01 um grid for node identity."""

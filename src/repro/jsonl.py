@@ -7,8 +7,9 @@ one on-disk format — one JSON object per line — and one crash story:
 * :meth:`JsonlLog.append` writes, flushes and fsyncs before it
   returns, so a record is durable once it is visible, and a
   ``kill -9`` tears at most the trailing line.
-* Reopening a log for append first terminates a torn trailing line,
-  so the first new record cannot glue onto the stump: the damage stays
+* A log always opens for append (a re-run adds to the history, never
+  rewrites it), and opening first terminates a torn trailing line, so
+  the first new record cannot glue onto the stump: the damage stays
   confined to exactly one frame.
 * :func:`read_jsonl` skips *and counts* bad lines instead of stopping:
   after a restart the torn frame sits mid-file, and stopping there
@@ -30,22 +31,18 @@ class JsonlLog:
     """Append-only JSONL file; every :meth:`append` is fsync'd.
 
     Args:
-        path: The log file (parent directories are created).
-        truncate: Start a fresh, empty log instead of appending to the
-            existing one.
+        path: The log file (parent directories are created); an
+            existing one is appended to.
         separators: ``json.dumps`` separators for each line (``None``
             keeps the ``json`` defaults).  Keys are always sorted.
     """
 
-    def __init__(self, path, truncate: bool = False,
-                 separators: Optional[Tuple[str, str]] = None):
+    def __init__(self, path, separators: Optional[Tuple[str, str]] = None):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._separators = separators
-        self._handle = open(self.path, "w" if truncate else "a",
-                            encoding="utf-8")
-        if not truncate:
-            self._isolate_torn_tail()
+        self._handle = open(self.path, "a", encoding="utf-8")
+        self._isolate_torn_tail()
 
     def _isolate_torn_tail(self) -> None:
         """Terminate a torn trailing line before the first append.

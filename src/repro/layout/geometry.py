@@ -49,13 +49,6 @@ class Rect:
         x, y = point
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
-    def inset(self, margin: float) -> "Rect":
-        """Rectangle shrunk by ``margin`` on every side."""
-        return Rect(
-            self.x0 + margin, self.y0 + margin,
-            self.x1 - margin, self.y1 - margin,
-        )
-
 
 def manhattan(a: Point, b: Point) -> float:
     """Manhattan distance between two points."""

@@ -52,12 +52,6 @@ class Placement:
     row_of: Dict[str, int] = field(default_factory=dict)
     rows_cells: List[List[str]] = field(default_factory=list)
 
-    def pin_position(self, circuit: Circuit, inst: str) -> Point:
-        """Location used for a pin of ``inst`` (cell centre)."""
-        if inst == PORT:
-            raise ValueError("ports are located via the floorplan pads")
-        return self.positions[inst]
-
     def net_pins(self, circuit: Circuit, net_name: str) -> List[Point]:
         """Locations of every pin on a net (pads included)."""
         net = circuit.nets[net_name]

@@ -77,11 +77,6 @@ class DlbistResult:
     bff_area_um2: float = 0.0
     patterns: List[int] = field(default_factory=list)
 
-    @property
-    def flips_per_cube(self) -> float:
-        """Average BFF work per embedded cube."""
-        return self.n_flips / self.n_cubes if self.n_cubes else 0.0
-
 
 def _hamming_on_cares(pattern: int, care_mask: int, care_value: int) -> int:
     """Disagreeing care bits between a pattern and a cube."""

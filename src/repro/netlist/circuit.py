@@ -309,14 +309,6 @@ class Circuit:
         """All sequential instances, in deterministic (insertion) order."""
         return [inst for inst in self.instances.values() if inst.is_sequential]
 
-    def combinational_cells(self) -> List[Instance]:
-        """All non-sequential, non-filler instances."""
-        return [
-            inst
-            for inst in self.instances.values()
-            if not inst.is_sequential and not inst.cell.is_filler
-        ]
-
     @property
     def num_flip_flops(self) -> int:
         """Number of sequential instances."""

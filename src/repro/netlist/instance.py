@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.library.cell import LibraryCell
@@ -35,10 +35,6 @@ class Instance:
     def is_sequential(self) -> bool:
         """True for flip-flop-like cells (DFF, scan FF, TSFF)."""
         return self.cell.is_sequential
-
-    def net_of(self, pin: str) -> Optional[str]:
-        """Net connected to ``pin``, or ``None`` when unconnected."""
-        return self.conns.get(pin)
 
     def input_conns(self) -> Iterator[Tuple[str, str]]:
         """Yield ``(pin, net)`` for every connected input pin."""

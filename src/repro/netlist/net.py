@@ -55,16 +55,6 @@ class Net:
         """Number of sink pins on the net."""
         return len(self.sinks)
 
-    @property
-    def is_primary_input(self) -> bool:
-        """True when the net is driven directly by a circuit port."""
-        return self.driver is not None and self.driver[0] == PORT
-
-    @property
-    def drives_primary_output(self) -> bool:
-        """True when at least one sink is a circuit output port."""
-        return any(inst == PORT for inst, _ in self.sinks)
-
     def instance_sinks(self) -> List[PinRef]:
         """Sinks that are real instance pins (ports filtered out)."""
         return [ref for ref in self.sinks if ref[0] != PORT]

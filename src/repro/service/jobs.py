@@ -42,9 +42,10 @@ cells; completed cells stay cached for the next tenant.
 before it is visible, so the manager itself is a crash domain: a
 restarted manager replays the store, re-adopts terminal jobs (reports
 included, so ``/result`` survives a restart), marks jobs the crash
-caught queued/running as ``interrupted`` and re-queues them through
-the executor's ``resume`` path — the sweep journal plus the shared
-cache make the resumed result byte-identical to an uninterrupted run.
+caught queued/running as ``interrupted`` and re-queues them.  The
+re-run appends to the job's own journal, and the shared cache serves
+every cell that finished before the crash, so the resumed result is
+byte-identical to an uninterrupted run.
 
 **Load shedding.**  ``max_pending`` bounds the queue
 (:class:`QueueFullError` → HTTP 429), ``begin_drain`` refuses new
@@ -180,10 +181,6 @@ class _Job:
         self.cancel_event = threading.Event()
         self.tracer = obs.Tracer(label=f"job {job_id}")
         self.trace_path: Optional[Path] = None
-        #: True for a job re-adopted after a daemon restart: the
-        #: executor runs it with ``resume=True`` (append to its
-        #: journal, serve completed cells from the cache).
-        self.resume = False
         #: Set when the job's ``deadline_s`` expired (distinguishes a
         #: deadline cancellation from a tenant's explicit one).
         self.deadline_expired = False
@@ -223,8 +220,6 @@ class JobManager:
             pool.
         cache_max_bytes: LRU size cap of the shared cache (None =
             unbounded).
-        use_cache: Master cache switch (tests force fresh runs with
-            False); off, jobs run without a cache directory.
         build_experiment: Injection point mapping a request to an
             :class:`~repro.core.experiment.ExperimentConfig`; defaults
             to the exact resolution :func:`repro.api.sweep` uses, which
@@ -238,7 +233,6 @@ class JobManager:
 
     def __init__(self, cache_dir, job_workers: int = 2,
                  cache_max_bytes: Optional[int] = None,
-                 use_cache: bool = True,
                  build_experiment=None,
                  max_pending: Optional[int] = None):
         self.cache_dir = Path(cache_dir)
@@ -260,7 +254,6 @@ class JobManager:
         self._prev_registry = obs.install_registry(self.registry)
         self._describe_metrics()
         self.cache_max_bytes = cache_max_bytes
-        self.use_cache = use_cache
         self._build_experiment = (build_experiment
                                   or _default_build_experiment)
         self._lock = threading.Lock()
@@ -305,9 +298,9 @@ class JobManager:
         Terminal jobs are restored as-is (their wire reports decode
         back into servable :class:`SweepReport` objects); jobs a crash
         caught queued or running become ``interrupted`` and are
-        returned for re-queueing with ``resume=True`` — their sweep
-        journal plus the shared cache make the re-run skip every cell
-        that already finished.
+        returned for re-queueing — the shared cache serves every cell
+        that already finished, and the re-run appends to the job's
+        journal behind the interrupted run's events.
         """
         replay = JobStore.replay(self.store_dir)
         resumable: List[_Job] = []
@@ -334,7 +327,6 @@ class JobManager:
                             pass
                 else:
                     job.state = JOB_INTERRUPTED
-                    job.resume = True
                     resumable.append(job)
                 self._jobs[job.id] = job
                 self._order.append(job.id)
@@ -606,7 +598,7 @@ class JobManager:
         request = job.request
         return ExecutorConfig(
             jobs=request.jobs,
-            cache_dir=str(self.cache_dir) if self.use_cache else None,
+            cache_dir=str(self.cache_dir),
             cache_max_bytes=self.cache_max_bytes,
             retries=request.retries,
             task_timeout_s=request.task_timeout_s,
@@ -614,7 +606,6 @@ class JobManager:
             journal=str(job.journal),
             cancel_check=self._cancel_check(job),
             trace=request.trace,
-            resume=job.resume,
             cache_read_only=self.degraded,
         )
 

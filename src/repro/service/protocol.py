@@ -66,8 +66,8 @@ JOB_DONE = "done"
 JOB_FAILED = "failed"
 JOB_CANCELLED = "cancelled"
 #: A daemon death caught this job queued or running; the restarted
-#: daemon re-queues it through the executor's resume path, so
-#: ``interrupted`` is *not* terminal — it is "queued, with history".
+#: daemon re-queues it (the shared cache serves its finished cells),
+#: so ``interrupted`` is *not* terminal — it is "queued, with history".
 JOB_INTERRUPTED = "interrupted"
 JOB_STATES = (JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_FAILED,
               JOB_CANCELLED, JOB_INTERRUPTED)
@@ -629,6 +629,8 @@ def progress_from_journal(events: Sequence[Mapping[str, Any]],
             cell["attempts"] = max(cell["attempts"],
                                    int(event.get("attempt", 0)) + 1)
         elif kind in ("task_done", "task_resumed", "task_cached"):
+            # Older journals still log some cache-served cells as
+            # task_resumed.
             cell["state"] = "done"
         elif kind == "task_exhausted":
             cell["state"] = "failed"

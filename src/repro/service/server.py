@@ -123,7 +123,6 @@ class ServiceConfig:
             per-job journals and the durable job store.
         job_workers: Concurrent jobs (see :class:`JobManager`).
         cache_max_bytes: LRU size cap of the shared cache.
-        use_cache: Master cache switch.
         max_pending: Bound on queued jobs; submits beyond it get
             HTTP 429 + ``Retry-After``.  None = unbounded.
         drain_timeout_s: On SIGTERM/SIGINT, how long in-flight jobs
@@ -136,7 +135,6 @@ class ServiceConfig:
     cache_dir: str = ".sweep-service"
     job_workers: int = 2
     cache_max_bytes: Optional[int] = None
-    use_cache: bool = True
     max_pending: Optional[int] = None
     drain_timeout_s: float = 30.0
 
@@ -151,7 +149,6 @@ class SweepService:
             config.cache_dir,
             job_workers=config.job_workers,
             cache_max_bytes=config.cache_max_bytes,
-            use_cache=config.use_cache,
             max_pending=config.max_pending,
         )
         self.started_at = time.time()

@@ -12,7 +12,6 @@ contract needs (CI runs this file as its public-API lint step).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 from pathlib import Path
 
@@ -140,14 +139,3 @@ def test_api_sweep_serial_matches_experiment():
                    for run in result.runs.values())
         assert (canonical_result_bytes(result)
                 == canonical_result_bytes(reference)), jobs
-
-
-def test_no_cache_flag_forces_fresh_runs(tmp_path):
-    sweep = functools.partial(
-        api.sweep, "s38417", scale=0.01, tp_percents=(0.0,),
-        cache_dir=str(tmp_path), run_layout_phase=False,
-        atpg={"backtrack_limit": 24, "max_deterministic": 60})
-    sweep()
-    assert sweep().runs[0.0].from_cache  # the cache is warm ...
-    # ... but use_cache=False ignores it.
-    assert not sweep(use_cache=False).runs[0.0].from_cache

@@ -6,8 +6,8 @@ worker kills (``os._exit`` inside the pool) and torn cache writes —
 and asserts the sweep degrades exactly as designed: retries recover
 transient faults, the watchdog times out hangs, crash culprits are
 identified by solo isolation, failed cells become structured
-:class:`TaskFailure` holes, and ``resume`` completes the sweep with
-output byte-identical to a clean serial run.
+:class:`TaskFailure` holes, and a re-run on the same cache directory
+completes the sweep with output byte-identical to a clean serial run.
 
 CI runs this file as the dedicated ``chaos`` job.
 """
@@ -37,7 +37,6 @@ from repro.core import (
 from repro.core import executor as executor_mod
 from repro.core.executor import run_sweeps, run_sweeps_report
 from repro.core.flow import FlowConfig
-from repro.core.resilience import completed_keys
 
 #: Cheap-but-real ATPG settings: full flow semantics, bounded search.
 FAST_ATPG = AtpgConfig(seed=7, backtrack_limit=24, max_deterministic=60,
@@ -224,7 +223,7 @@ def test_kill_recovers_when_fault_is_transient(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Cache corruption and resume
+# Cache corruption and re-runs
 # ----------------------------------------------------------------------
 def test_torn_cache_write_quarantined_on_next_sweep(tmp_path):
     plan = FaultPlan(faults=(
@@ -248,7 +247,7 @@ def test_torn_cache_write_quarantined_on_next_sweep(tmp_path):
     assert not runs[1.0].from_cache      # torn entry recomputed
 
 
-def test_resume_completes_a_killed_sweep(tmp_path):
+def test_rerun_completes_a_killed_sweep(tmp_path):
     plan = FaultPlan(faults=(
         FaultSpec(kind="kill", circuit="s38417", tp_percent=1.0,
                   stage="tpi_scan", times=-1),
@@ -258,19 +257,22 @@ def test_resume_completes_a_killed_sweep(tmp_path):
         _executor(tmp_path, jobs=2, retries=0, chaos=plan),
     )
     assert not first.ok
-    resumed = run_sweeps_report(
+    rerun = run_sweeps_report(
         [_experiment("s38417")],
-        _executor(tmp_path, jobs=2, resume=True),
+        _executor(tmp_path, jobs=2),
     )
-    assert resumed.ok
-    assert resumed.successful_cells() == 2
-    assert resumed.results["s38417"].runs[0.0].from_cache
-    events = read_journal(resumed.journal_path)
-    assert [e["event"] for e in events if e["event"] == "task_resumed"] \
-        == ["task_resumed"]
-    # Both sweeps share one append-only journal.
-    starts = [e for e in events if e["event"] == "sweep_start"]
-    assert len(starts) == 2 and starts[1]["resume"] is True
+    assert rerun.ok
+    assert rerun.successful_cells() == 2
+    assert rerun.results["s38417"].runs[0.0].from_cache
+    assert not rerun.results["s38417"].runs[1.0].from_cache
+    # Both sweeps share one append-only journal, one block per run.
+    events = read_journal(rerun.journal_path)
+    starts = [i for i, e in enumerate(events)
+              if e["event"] == "sweep_start"]
+    assert len(starts) == 2
+    served = [(e["event"], e["tp_percent"]) for e in events[starts[1]:]
+              if e["event"] in ("task_cached", "task_done")]
+    assert served == [("task_cached", 0.0), ("task_done", 1.0)]
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +294,7 @@ def _census(report) -> str:
 
 def test_acceptance_18_cell_chaos_sweep_degrades_then_resumes(tmp_path):
     """Kill + hang + torn cache across 18 cells: >= 15 survive with
-    accurate failure records, and a chaos-free resume completes the
+    accurate failure records, and a chaos-free re-run completes the
     sweep byte-identically to a clean serial run."""
     circuits = ("s38417", "control_core", "p26909")
     levels = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
@@ -328,10 +330,10 @@ def test_acceptance_18_cell_chaos_sweep_degrades_then_resumes(tmp_path):
     assert report.timeouts == 2, census
     assert report.worker_crashes >= 2, census
 
-    # Resume with the fault plan disabled: the sweep completes...
+    # Re-run with the fault plan disabled: the sweep completes...
     resumed = run_sweeps_report(
         experiments,
-        _executor(tmp_path, jobs=3, retries=1, resume=True),
+        _executor(tmp_path, jobs=3, retries=1),
     )
     assert resumed.ok
     assert resumed.successful_cells() == 18
@@ -340,7 +342,8 @@ def test_acceptance_18_cell_chaos_sweep_degrades_then_resumes(tmp_path):
                             recursive=True)
     assert len(quarantined) == 1
     events = read_journal(resumed.journal_path)
-    assert len(completed_keys(events)) == 18
+    done = {e["key"] for e in events if e["event"] == "task_done"}
+    assert len(done) == 18
 
     # ...and its Tables 1/2/3 are byte-identical to a clean serial run.
     for experiment in experiments:
@@ -369,11 +372,6 @@ def test_api_sweep_report_exposes_resilience_knobs(tmp_path):
     )
     assert report.ok and report.retries == 1
     assert report.journal_path is not None
-
-
-def test_api_sweep_resume_requires_cache_dir():
-    with pytest.raises(ValueError, match="cache_dir"):
-        api.sweep_report("s38417", scale=SCALE, resume=True)
 
 
 def test_api_unknown_circuit_suggests_closest():

@@ -49,19 +49,6 @@ def test_unknown_circuit_exits_2_with_did_you_mean(capsys):
     assert "control_core" in stderr  # the full choices list prints too
 
 
-def test_resume_without_cache_dir_rejected(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["sweep", "--resume"])
-    assert err.value.code == 2
-    assert "--resume needs --cache-dir" in capsys.readouterr().err
-
-
-def test_resume_with_no_cache_rejected(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["sweep", "--resume", "--cache-dir", "/tmp/x", "--no-cache"])
-    assert err.value.code == 2
-
-
 def test_degraded_sweep_prints_failures_and_exits_3(tmp_path, capsys):
     from repro.chaos import FaultPlan, FaultSpec
 
@@ -96,7 +83,7 @@ def test_sweep_resume_completes_after_chaos(tmp_path, capsys):
                  "--cache-dir", cache, "--chaos", str(plan_path)]) == 3
     capsys.readouterr()
     rc = main(["sweep", "--circuit", "s38417", "--scale", "0.01",
-               "--tp-percents", "0,2", "--cache-dir", cache, "--resume"])
+               "--tp-percents", "0,2", "--cache-dir", cache])
     assert rc == 0
     out = capsys.readouterr().out
     assert "served from cache: 0%" in out

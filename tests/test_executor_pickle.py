@@ -148,21 +148,21 @@ def test_old_executor_config_pickle_without_resilience_knobs():
     config = ExecutorConfig(jobs=4, cache_dir="/tmp/x")
     old = roundtrip(strip_fields(
         config, "retries", "task_timeout_s", "backoff_base_s",
-        "backoff_max_s", "fail_fast", "resume", "chaos",
+        "backoff_max_s", "fail_fast", "chaos",
     ))
     assert old.retries == 2
     assert old.task_timeout_s is None
-    assert old.fail_fast is False and old.resume is False
+    assert old.fail_fast is False
     assert old.chaos is None
     assert isinstance(old.retry_policy, RetryPolicy)
 
 
 def test_old_executor_config_pickle_with_dropped_mp_context():
-    # ``mp_context``, ``derive_seeds`` and ``use_cache`` were removed;
-    # pickles that still carry them load.
+    # ``mp_context``, ``derive_seeds``, ``use_cache`` and ``resume``
+    # were removed; pickles that still carry them load.
     config = ExecutorConfig(jobs=4, cache_dir="/tmp/x")
     config.__dict__.update(mp_context="spawn", derive_seeds=False,
-                           use_cache=True)
+                           use_cache=True, resume=True)
     old = roundtrip(config)
     assert old.jobs == 4 and old.cache_dir == "/tmp/x"
     assert old == ExecutorConfig(jobs=4, cache_dir="/tmp/x")

@@ -109,6 +109,26 @@ def test_clean_prepared_benchmark_lints_clean():
     assert {"NL001", "DFT001", "DFT004"} <= set(report.rule_seconds)
 
 
+def test_api_lint_audits_the_flow_stage0_netlist(monkeypatch):
+    from repro.core.executor import circuit_structural_hash
+    from repro.lint import netlist_rules
+
+    flow = api.run("s38417", scale=0.02, tp_percent=2.0,
+                   run_layout_phase=False, run_atpg_phase=False)
+    audited = []
+    real_lint = netlist_rules.lint_netlist
+
+    def spy(circuit, **kwargs):
+        audited.append(circuit_structural_hash(circuit))
+        return real_lint(circuit, **kwargs)
+
+    # Patched after the flow run: the flow's validate() lints too.
+    monkeypatch.setattr(netlist_rules, "lint_netlist", spy)
+    report = api.lint_netlist("s38417", scale=0.02, tp_percent=2.0)
+    assert report.ok, report.format_text()
+    assert audited == [circuit_structural_hash(flow.circuit)]
+
+
 def test_dirty_set_scoping_limits_structural_findings(lib):
     c = Circuit("scoped")
     c.add_input("a")

@@ -6,9 +6,8 @@ line in ``<cache_dir>/jobs/store.jsonl``; a restarted
 :class:`~repro.service.jobs.JobManager` replays it, re-adopts terminal
 jobs with their full reports (``/result`` keeps working), marks jobs
 the crash caught queued/running as ``interrupted``, and re-runs them
-through the executor's resume path — where the sweep journal plus the
-shared artifact cache make the resumed result **byte-identical** to an
-uninterrupted run.
+— where the shared artifact cache serves every cell that finished, so
+the resumed result is **byte-identical** to an uninterrupted run.
 
 The store and the sweep journal share one JSONL log
 (:mod:`repro.jsonl`), so one crash-damage matrix runs against both:
@@ -31,7 +30,7 @@ import pytest
 
 from repro import api
 from repro.core import resilience
-from repro.core.resilience import SweepJournal, completed_keys, read_journal
+from repro.core.resilience import SweepJournal, read_journal
 from repro.jsonl import read_jsonl
 from repro.service import (
     JobManager,
@@ -115,7 +114,7 @@ def test_store_replay_of_missing_file_is_empty(tmp_path):
 
 # ----------------------------------------------------------------------
 # Crash-damage matrix over both clients of the shared JSONL log: the
-# job store (replay) and the sweep journal (``--resume`` appends, the
+# job store (replay) and the sweep journal (a re-run appends, the
 # progress reader counts).  Each case runs against every client that
 # can see the damage, from the same inputs.
 # ----------------------------------------------------------------------
@@ -142,7 +141,7 @@ def _store_read(root):
 
 
 def _journal_append(root, tag):
-    with SweepJournal(root / "journal.jsonl", resume=True) as journal:
+    with SweepJournal(root / "journal.jsonl") as journal:
         journal.record("task_done", key=tag)
 
 
@@ -197,7 +196,7 @@ def test_store_replay_counts_every_damage_shape(tmp_path, bad_line,
 
 def test_store_append_after_tear_confines_damage_to_one_frame(tmp_path):
     """A kill -9 tears the trailing line; the next writer (a restarted
-    daemon, a ``--resume`` sweep) must not glue its first frame onto
+    daemon, a re-run sweep) must not glue its first frame onto
     the stump."""
     for client in LOG_CLIENTS:
         root = tmp_path / client.name
@@ -249,6 +248,10 @@ def test_legacy_store_lines_reencode_byte_identically(tmp_path,
     assert written == "".join(raw + "\n" for raw in lines)
 
 
+def _done_keys(events):
+    return {e["key"] for e in events if e["event"] == "task_done"}
+
+
 def test_legacy_journal_resumes(tmp_path):
     path = tmp_path / "journal.jsonl"
     shutil.copy(GOLDEN / "legacy_journal.jsonl", path)
@@ -256,14 +259,14 @@ def test_legacy_journal_resumes(tmp_path):
     assert torn == 1
     assert [e["event"] for e in events] == [
         "sweep_start", "task_start", "task_done", "task_start"]
-    assert completed_keys(read_journal(path)) == {"k0"}
+    assert _done_keys(read_journal(path)) == {"k0"}
 
-    with SweepJournal(path, resume=True) as journal:
+    with SweepJournal(path) as journal:
         journal.record("task_done", key="k2", name="s38417",
                        tp_percent=2.0, attempt=0)
     events, torn = read_jsonl(path)
     assert torn == 1
-    assert completed_keys(events) == {"k0", "k2"}
+    assert _done_keys(events) == {"k0", "k2"}
 
 
 def test_legacy_journal_lines_reencode_byte_identically(tmp_path,
