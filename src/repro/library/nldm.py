@@ -6,10 +6,14 @@ table range are bilinearly interpolated; values outside are linearly
 extrapolated from the nearest table edge — and flagged, because the
 paper (Section 4.4) calls cells evaluated by extrapolation *slow nodes*
 and warns their numbers are less accurate.
+
+STA looks tables up once or twice per timing arc, so a table holds
+plain Python floats and computes its intrinsic delay once, when built.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -33,10 +37,22 @@ class LookupResult:
 class NLDMTable:
     """A 2-D lookup table indexed by input slew (ps) and load (fF).
 
+    The indices and values are held as tuples of Python floats: a
+    lookup is a handful of scalar operations, which Python floats do
+    faster than numpy scalars, with the same IEEE-754 results.
+
     Args:
-        slews: Strictly increasing input-slew index, in ps.
-        loads: Strictly increasing output-load index, in fF.
-        values: Table values in ps, shape ``(len(slews), len(loads))``.
+        slews: Strictly increasing input-slew index, in ps, at least
+            two points.
+        loads: Strictly increasing output-load index, in fF, at least
+            two points.
+        values: Table values in ps, one row of ``len(loads)`` values
+            per slew.
+
+    Raises:
+        ValueError: When an index is not a strictly increasing sequence
+            of at least two numbers, or the values do not form a
+            ``len(slews)`` x ``len(loads)`` grid.
     """
 
     def __init__(
@@ -45,18 +61,21 @@ class NLDMTable:
         loads: Sequence[float],
         values: Sequence[Sequence[float]],
     ):
-        self.slews = np.asarray(slews, dtype=float)
-        self.loads = np.asarray(loads, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if self.slews.ndim != 1 or self.loads.ndim != 1:
-            raise ValueError("table indices must be one-dimensional")
-        if np.any(np.diff(self.slews) <= 0) or np.any(np.diff(self.loads) <= 0):
-            raise ValueError("table indices must be strictly increasing")
-        if self.values.shape != (len(self.slews), len(self.loads)):
+        self.slews = _index(slews)
+        self.loads = _index(loads)
+        try:
+            self.values = tuple(tuple(float(v) for v in row)
+                                for row in values)
+        except TypeError:
+            raise ValueError("table values must be a 2-D grid") from None
+        if (len(self.values) != len(self.slews)
+                or any(len(row) != len(self.loads) for row in self.values)):
             raise ValueError(
-                f"values shape {self.values.shape} does not match indices "
-                f"({len(self.slews)}, {len(self.loads)})"
+                f"values grid of row lengths "
+                f"{[len(row) for row in self.values]} does not match "
+                f"indices ({len(self.slews)}, {len(self.loads)})"
             )
+        self._intrinsic_ps = self.lookup(0.0, 0.0).value
 
     @classmethod
     def linear(
@@ -81,17 +100,17 @@ class NLDMTable:
             + ps_per_ps_slew * s[:, None]
             + 0.002 * ps_per_ff * c[None, :] ** 1.5
         )
-        return cls(s, c, grid)
+        return cls(s.tolist(), c.tolist(), grid.tolist())
 
     @property
     def max_slew(self) -> float:
         """Largest input slew covered by the table, in ps."""
-        return float(self.slews[-1])
+        return self.slews[-1]
 
     @property
     def max_load(self) -> float:
         """Largest output load covered by the table, in fF."""
-        return float(self.loads[-1])
+        return self.loads[-1]
 
     def lookup(self, slew_ps: float, load_ff: float) -> LookupResult:
         """Interpolate the table at ``(slew_ps, load_ff)``.
@@ -100,40 +119,55 @@ class NLDMTable:
         (slope of the outermost segment) outside, with the result
         flagged as extrapolated.
         """
+        slews, loads = self.slews, self.loads
         extrapolated = (
-            slew_ps < self.slews[0]
-            or slew_ps > self.slews[-1]
-            or load_ff < self.loads[0]
-            or load_ff > self.loads[-1]
+            slew_ps < slews[0]
+            or slew_ps > slews[-1]
+            or load_ff < loads[0]
+            or load_ff > loads[-1]
         )
-        i, ws = self._bracket(self.slews, slew_ps)
-        j, wl = self._bracket(self.loads, load_ff)
-        v = self.values
+        i, ws = self._bracket(slews, slew_ps)
+        j, wl = self._bracket(loads, load_ff)
+        lo, hi = self.values[i], self.values[i + 1]
         value = (
-            v[i, j] * (1 - ws) * (1 - wl)
-            + v[i + 1, j] * ws * (1 - wl)
-            + v[i, j + 1] * (1 - ws) * wl
-            + v[i + 1, j + 1] * ws * wl
+            lo[j] * (1 - ws) * (1 - wl)
+            + hi[j] * ws * (1 - wl)
+            + lo[j + 1] * (1 - ws) * wl
+            + hi[j + 1] * ws * wl
         )
         return LookupResult(value=float(value), extrapolated=bool(extrapolated))
 
     @staticmethod
-    def _bracket(index: np.ndarray, x: float) -> Tuple[int, float]:
+    def _bracket(index: Tuple[float, ...], x: float) -> Tuple[int, float]:
         """Segment number and fractional position of ``x`` in ``index``.
 
         The fraction is not clamped, which makes the bilinear formula
         extrapolate linearly outside the grid.
         """
-        i = int(np.searchsorted(index, x) - 1)
-        i = max(0, min(i, len(index) - 2))
-        frac = (x - index[i]) / (index[i + 1] - index[i])
-        return i, float(frac)
+        i = max(0, min(bisect_left(index, x) - 1, len(index) - 2))
+        return i, (x - index[i]) / (index[i + 1] - index[i])
 
     def intrinsic_ps(self) -> float:
         """Delay at near-zero slew and no load (paper's T_intrinsic).
 
-        Extrapolates the table to ``slew = 0, load = 0``, matching the
+        The table extrapolated to ``slew = 0, load = 0``, matching the
         paper's definition of intrinsic delay ("input signal with
-        near-zero slew ... without load on the cell output").
+        near-zero slew ... without load on the cell output").  It is
+        looked up once, when the table is built.
         """
-        return self.lookup(0.0, 0.0).value
+        return self._intrinsic_ps
+
+
+def _index(points: Sequence[float]) -> Tuple[float, ...]:
+    """A validated table index as a tuple of Python floats."""
+    try:
+        index = tuple(float(p) for p in points)
+    except TypeError:
+        raise ValueError("table indices must be one-dimensional") from None
+    if len(index) < 2:
+        raise ValueError(
+            f"a table index needs at least two points, got {len(index)}"
+        )
+    if any(b <= a for a, b in zip(index, index[1:])):
+        raise ValueError("table indices must be strictly increasing")
+    return index

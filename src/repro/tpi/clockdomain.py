@@ -8,13 +8,15 @@ that logic, otherwise scan capture would race the functional clocks.
 
 The assignment walks the netlist breadth-first from the insertion net,
 both backwards and forwards, until it meets sequential cells; the
-majority domain among the nearest flip-flops wins.
+majority domain among the nearest flip-flops wins.  A circuit whose
+flip-flops all sit on its first declared clock needs no walk:
+:func:`single_clock` names that clock once per TPI run.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Set
+from typing import Optional, Set
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.net import PORT
@@ -75,3 +77,25 @@ def assign_clock(circuit: Circuit, net: str) -> str:
     if not circuit.clocks:
         raise ValueError("circuit has no clock domains")
     return circuit.clocks[0].net
+
+
+def single_clock(circuit: Circuit) -> Optional[str]:
+    """The clock :func:`assign_clock` returns for every net, if one is
+    certain.
+
+    When every sequential instance is unclocked or on the first
+    declared clock, the walk can only count that clock, and its
+    fallback is that clock too.  A TSFF inserted on it keeps the
+    condition, so one check covers a whole TPI run.
+
+    Returns:
+        The first declared clock's net, or None when the circuit
+        declares no clock or has flip-flops on another clock.
+    """
+    if not circuit.clocks:
+        return None
+    first = circuit.clocks[0].net
+    for name, inst in circuit.instances.items():
+        if inst.is_sequential and circuit.clock_of(name) not in (None, first):
+            return None
+    return first

@@ -31,7 +31,7 @@ from repro.netlist.levelize import extract_comb_view
 from repro.netlist.net import PORT
 from repro.testability.cop import compute_cop
 from repro.testability.regions import find_regions, region_of_net
-from repro.tpi.clockdomain import assign_clock
+from repro.tpi.clockdomain import assign_clock, single_clock
 from repro.tpi.cost import CandidateScorer, collect_hard_faults
 
 #: COP detection probability below which a fault counts as hard
@@ -154,6 +154,7 @@ def insert_test_points(circuit: Circuit, library: Library,
     """
     report = TpiReport()
     tsff_cell = library["TSFF_X1"]
+    clock = single_clock(circuit)
 
     for iteration in range(config.n_test_points):
         view = extract_comb_view(circuit, "test")
@@ -170,7 +171,7 @@ def insert_test_points(circuit: Circuit, library: Library,
         scored = [(scorer.score(net), net) for net in candidate_nets]
         score, best = max(scored)
         record = _insert_tsff(
-            circuit, tsff_cell, best, iteration, score
+            circuit, tsff_cell, best, iteration, score, clock
         )
         report.inserted.append(record)
 
@@ -267,9 +268,15 @@ def _candidates(circuit, view, cop, hard,
 
 
 def _insert_tsff(circuit: Circuit, tsff_cell, net: str,
-                 iteration: int, score: float) -> InsertedTestPoint:
-    """Steps 2+3 of the paper: clock assignment and netlist rewrite."""
-    clock = assign_clock(circuit, net)
+                 iteration: int, score: float,
+                 clock: Optional[str]) -> InsertedTestPoint:
+    """Steps 2+3 of the paper: clock assignment and netlist rewrite.
+
+    ``clock`` is the run's :func:`single_clock`; when it is None the
+    clock is assigned from the flip-flops nearest to ``net``.
+    """
+    if clock is None:
+        clock = assign_clock(circuit, net)
     sinks = list(circuit.nets[net].sinks)
     new_net = circuit.split_net_before_sinks(net, sinks, new_prefix="tpq")
     name = circuit.new_instance_name("tp")

@@ -1,9 +1,53 @@
 """Tests for NLDM lookup tables (interpolation, extrapolation, flags)."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.library.nldm import NLDMTable
+from repro.library.cmos130 import cmos130
+from repro.library.nldm import LookupResult, NLDMTable
+
+
+def reference_lookup(table, slew_ps, load_ff):
+    """The numpy lookup the Python-float tables replaced, kept as the
+    reference: indices and values as float64 arrays, brackets by
+    ``np.searchsorted``, numpy-scalar arithmetic."""
+    slews = np.asarray(table.slews, dtype=float)
+    loads = np.asarray(table.loads, dtype=float)
+    v = np.asarray(table.values, dtype=float)
+
+    def bracket(index, x):
+        i = int(np.searchsorted(index, x) - 1)
+        i = max(0, min(i, len(index) - 2))
+        frac = (x - index[i]) / (index[i + 1] - index[i])
+        return i, float(frac)
+
+    extrapolated = (
+        slew_ps < slews[0]
+        or slew_ps > slews[-1]
+        or load_ff < loads[0]
+        or load_ff > loads[-1]
+    )
+    i, ws = bracket(slews, slew_ps)
+    j, wl = bracket(loads, load_ff)
+    value = (
+        v[i, j] * (1 - ws) * (1 - wl)
+        + v[i + 1, j] * ws * (1 - wl)
+        + v[i, j + 1] * (1 - ws) * wl
+        + v[i + 1, j + 1] * ws * wl
+    )
+    return LookupResult(value=float(value), extrapolated=bool(extrapolated))
+
+
+def assert_matches_reference(table, points):
+    for slew, load in points:
+        got = table.lookup(slew, load)
+        want = reference_lookup(table, slew, load)
+        assert got.value == want.value, (slew, load)
+        assert got.extrapolated == want.extrapolated, (slew, load)
+    assert table.intrinsic_ps() == reference_lookup(table, 0.0, 0.0).value
 
 
 @pytest.fixture()
@@ -45,6 +89,37 @@ def test_index_validation():
         NLDMTable([1.0, 1.0], [1.0, 2.0], [[0, 0], [0, 0]])
     with pytest.raises(ValueError):
         NLDMTable([1.0, 2.0], [1.0, 2.0], [[0, 0]])
+    # One point cannot bracket a lookup.
+    with pytest.raises(ValueError, match="at least two points"):
+        NLDMTable([1.0], [1.0, 2.0], [[0.0, 1.0]])
+    with pytest.raises(ValueError, match="does not match indices"):
+        NLDMTable([1.0, 2.0], [1.0, 2.0], [[0.0, 1.0], [2.0]])
+
+
+def test_cmos130_lookups_match_numpy_reference():
+    rng = random.Random(2004)
+    tables = [table for cell in cmos130().cells.values()
+              for arc in cell.arcs for table in (arc.delay, arc.slew)]
+    assert tables
+    for table in tables:
+        points = [(0.0, 0.0)]
+        points += [(s, c) for s in table.slews for c in table.loads]
+        # Inside the grid, and out past every edge.
+        points += [(rng.uniform(-0.5 * table.max_slew, 2 * table.max_slew),
+                    rng.uniform(-0.5 * table.max_load, 2 * table.max_load))
+                   for _ in range(60)]
+        assert_matches_reference(table, points)
+
+
+@given(st.floats(min_value=1.0, max_value=200.0),
+       st.floats(min_value=0.1, max_value=30.0),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=-500.0, max_value=3000.0),
+       st.floats(min_value=-100.0, max_value=500.0))
+def test_linear_lookup_matches_numpy_reference(intrinsic, ps_per_ff,
+                                               slew_sens, slew, load):
+    table = NLDMTable.linear(intrinsic, ps_per_ff, slew_sens)
+    assert_matches_reference(table, [(slew, load)])
 
 
 @given(st.floats(min_value=0.0, max_value=2000.0),

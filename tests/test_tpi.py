@@ -102,6 +102,32 @@ def test_clock_domain_assignment(lib):
         assert assign_clock(c, record.net) in ("clk8", "clk64")
 
 
+@pytest.mark.parametrize("generator", ["s38417_like", "dsp_core_p26909"])
+def test_single_clock_shortcut_matches_search(lib, monkeypatch, generator):
+    import repro.circuits
+    from repro.tpi import insertion
+    from repro.tpi.clockdomain import single_clock
+
+    def tpi_at_5_percent():
+        c = getattr(repro.circuits, generator)(scale=0.02)
+        assert single_clock(c) == c.clocks[0].net
+        n = round(0.05 * c.num_flip_flops)
+        return insert_test_points(c, lib, TpiConfig(n_test_points=n))
+
+    shortcut = tpi_at_5_percent()
+    monkeypatch.setattr(insertion, "single_clock", lambda circuit: None)
+    searched = tpi_at_5_percent()
+    assert shortcut.count > 0
+    # Instances, nets, clocks, iterations and scores all match.
+    assert shortcut.inserted == searched.inserted
+
+
+def test_single_clock_shortcut_off_for_two_clocks():
+    from repro.circuits import control_core
+    from repro.tpi.clockdomain import single_clock
+    assert single_clock(control_core(scale=0.02)) is None
+
+
 def test_timing_aware_helpers():
     class P:  # stand-in timing path
         def __init__(self, slack, nets):
