@@ -294,29 +294,6 @@ def cmd_lint(args) -> int:
     return EXIT_LINT if failed else 0
 
 
-def cmd_selflint(args) -> int:
-    """Static analysis over the ``repro`` sources themselves.
-
-    Runs the determinism (SELF), concurrency (CONC) and resource
-    (RES) rule packs — the same gate CI applies — against the
-    committed baseline.  Exit 0 when clean, 4 on new findings.
-    """
-    from repro.lint.self import main as selflint_main
-
-    forwarded = []
-    if args.src:
-        forwarded.extend(["--src", args.src])
-    if args.baseline:
-        forwarded.extend(["--baseline", args.baseline])
-    if args.json:
-        forwarded.extend(["--json", args.json])
-    if args.packs:
-        forwarded.extend(["--packs", args.packs])
-    if args.update_baseline:
-        forwarded.append("--update-baseline")
-    return selflint_main(forwarded)
-
-
 def cmd_lbist(args) -> int:
     """Pseudo-random LBIST coverage with/without test points."""
     results = {}
@@ -612,28 +589,6 @@ def main(argv=None) -> int:
     p_lint.add_argument("--verbose", action="store_true",
                         help="also print warning/info findings")
     p_lint.set_defaults(func=cmd_lint)
-
-    p_selflint = sub.add_parser(
-        "selflint",
-        help="static analysis of the repro sources (determinism, "
-             "concurrency, resource safety)"
-    )
-    p_selflint.add_argument("--src", default=None, metavar="DIR",
-                            help="source root to audit (default: the "
-                                 "installed repro package)")
-    p_selflint.add_argument("--baseline", default=None, metavar="PATH",
-                            help="baseline of grandfathered findings "
-                                 "(default: lint-baseline.json at the "
-                                 "repo root)")
-    p_selflint.add_argument("--json", default=None, metavar="PATH",
-                            help="write the full JSON report to PATH")
-    p_selflint.add_argument("--packs", default=None, metavar="NAMES",
-                            help="comma-separated rule packs to run "
-                                 "(default: self,conc,res)")
-    p_selflint.add_argument("--update-baseline", action="store_true",
-                            help="rewrite the baseline from the "
-                                 "current findings")
-    p_selflint.set_defaults(func=cmd_selflint)
 
     p_lbist = sub.add_parser("lbist", help="LBIST coverage curves")
     _add_common(p_lbist)

@@ -3,7 +3,7 @@
 Renders a :class:`~repro.obs.metrics.MetricsRegistry` in the
 Prometheus *text exposition format* (version 0.0.4) so any scraper —
 ``curl``, Prometheus itself, a Grafana agent — can consume the
-daemon's ``/metrics?format=prom`` without the repo growing a client
+daemon's ``/metrics`` without the repo growing a client
 library dependency.  The inverse direction,
 :func:`validate_exposition`, is a strict-enough linter that CI can
 fail a scrape that drifts from the format: it checks name/label

@@ -28,7 +28,7 @@ import http.client
 import json
 import socket
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import urlsplit
 
 from repro.core.executor import SweepExecutionError
@@ -49,20 +49,28 @@ from repro.service.protocol import (
 RETRYABLE_STATUSES = frozenset({429, 502, 503, 504})
 
 
+#: A decoded response body: a JSON object, or the text of a
+#: ``text/*`` response (the ``/metrics`` exposition).
+Payload = Union[Dict[str, Any], str]
+
+
 class ServiceError(RuntimeError):
     """The daemon answered with an error (HTTP status >= 400).
 
     Attributes:
         status: The HTTP status code (0 when the connection itself
             failed before a status arrived).
-        payload: The decoded JSON error body (``{"error": ...}``).
+        payload: The decoded JSON error body (``{"error": ...}``; a
+            text body arrives as ``{"error": <text>}``).
         retry_after_s: The server's ``Retry-After`` hint in seconds,
             when the response carried one (429/503), else None.
     """
 
-    def __init__(self, status: int, payload: Dict[str, Any],
+    def __init__(self, status: int, payload: Payload,
                  context: str,
                  retry_after_s: Optional[float] = None):
+        if isinstance(payload, str):
+            payload = {"error": payload}
         self.status = status
         self.payload = payload
         self.retry_after_s = retry_after_s
@@ -147,7 +155,7 @@ class ServiceClient:
 
     def _request(self, method: str, path: str,
                  body: Optional[Dict[str, Any]] = None,
-                 ) -> Tuple[int, Dict[str, Any]]:
+                 ) -> Tuple[int, Payload]:
         """One logical request, with transparent transport retries.
 
         Retrying a submit is safe by construction: if the first
@@ -179,7 +187,12 @@ class ServiceClient:
 
     def _request_once(self, method: str, path: str,
                       body: Optional[Dict[str, Any]] = None,
-                      ) -> Tuple[int, Dict[str, Any], Optional[float]]:
+                      ) -> Tuple[int, Payload, Optional[float]]:
+        """One HTTP exchange: ``(status, payload, Retry-After hint)``.
+
+        A ``text/*`` body comes back as text; any other body must be
+        JSON.
+        """
         conn = http.client.HTTPConnection(self.host, self.port,
                                           timeout=self.timeout_s)
         try:
@@ -198,7 +211,10 @@ class ServiceClient:
                 except ValueError:
                     pass
             try:
-                decoded = json.loads(raw.decode("utf-8")) if raw else {}
+                text = raw.decode("utf-8")
+                content_type = response.getheader("Content-Type", "")
+                decoded = (text if content_type.startswith("text/")
+                           else json.loads(text) if text else {})
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ServiceError(
                     response.status,
@@ -215,7 +231,7 @@ class ServiceClient:
     def _expect(self, method: str, path: str,
                 ok: Tuple[int, ...] = (200,),
                 body: Optional[Dict[str, Any]] = None,
-                ) -> Dict[str, Any]:
+                ) -> Payload:
         status, payload = self._request(method, path, body)
         if status not in ok:
             raise ServiceError(status, payload, f"{method} {path}")
@@ -226,33 +242,9 @@ class ServiceClient:
         """Daemon liveness payload (version, uptime, workers)."""
         return self._expect("GET", "/healthz")
 
-    def metrics(self) -> Dict[str, Any]:
-        """Queue/worker/cache metrics snapshot."""
-        return self._expect("GET", "/metrics")
-
     def metrics_prom(self) -> str:
         """The metrics registry as Prometheus exposition text."""
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout_s)
-        try:
-            conn.request("GET", "/metrics?format=prom",
-                         headers={"Connection": "close"})
-            response = conn.getresponse()
-            raw = response.read()
-            if response.status != 200:
-                try:
-                    payload = json.loads(raw.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    payload = {"error": raw[:200].decode("latin-1")}
-                raise ServiceError(response.status, payload,
-                                   "GET /metrics?format=prom")
-            return raw.decode("utf-8")
-        except (ConnectionError, OSError) as exc:
-            raise ServiceError(
-                0, {"error": str(exc)},
-                f"GET {self.base_url}/metrics?format=prom") from exc
-        finally:
-            conn.close()
+        return self._expect("GET", "/metrics")
 
     def trace(self, job_id: str) -> Dict[str, Any]:
         """The Chrome trace the job wrote at its end: the job's own

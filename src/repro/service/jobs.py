@@ -54,6 +54,14 @@ HTTP 503), and per-request ``deadline_s`` cancels jobs their tenant
 has stopped waiting for.  A failing disk (cache write errors) flips
 the manager into a read-only-cache *degraded* mode instead of
 failing jobs.
+
+**Telemetry.**  The manager installs the daemon's one metrics
+registry and counts job lifecycle events into ``repro_jobs_total``;
+the executor's cell, stage, retry and cache counters land in the same
+registry.  :meth:`JobManager.prom_registry` samples the scrape-time
+gauges (queue depth, utilization, cache hit rate, degraded/draining)
+under the manager's lock, and ``GET /metrics`` renders that registry
+as Prometheus text — the daemon's only metrics view.
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ import time
 import uuid
 from collections import deque
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.chaos import plan_from_env
@@ -88,28 +96,6 @@ from repro.service.protocol import (
     report_to_wire,
 )
 from repro.service.store import JobStore
-
-#: Every counter of the JSON ``/metrics`` payload and the registry
-#: series it reads: the sum over ``family``'s series whose ``label``
-#: takes one of ``values`` (every series when ``label`` is None).
-JSON_COUNTERS: Dict[str, Tuple[str, Optional[str], Tuple[str, ...]]] = {
-    **{f"jobs_{event}": ("repro_jobs_total", "event", (event,))
-       for event in ("submitted", "completed", "failed", "cancelled",
-                     "coalesced", "recovered", "interrupted", "rejected",
-                     "expired")},
-    "cells_done": ("repro_cells_total", "outcome", ("ok", "cached")),
-    "cells_failed": ("repro_cells_total", "outcome", ("failed",)),
-    "retries": ("repro_task_retries_total", None, ()),
-    "timeouts": ("repro_task_timeouts_total", None, ()),
-    "worker_crashes": ("repro_worker_crashes_total", None, ()),
-    "cache_hits": ("repro_cache_events_total", "event", ("hit",)),
-    "cache_misses": ("repro_cache_events_total", "event", ("miss",)),
-    "cache_evictions": ("repro_cache_events_total", "event", ("evict",)),
-    "cache_write_failures": ("repro_cache_write_failures_total", None, ()),
-    "journal_torn_lines": ("repro_journal_torn_lines_total", None, ()),
-    "store_torn_lines": ("repro_store_torn_lines_total", None, ()),
-}
-
 
 class UnknownJobError(KeyError):
     """No job with the requested id exists on this daemon."""
@@ -342,7 +328,7 @@ class JobManager:
 
     def _describe_metrics(self) -> None:
         """Declare the daemon's metric vocabulary up front, so the
-        first ``/metrics?format=prom`` scrape after boot already
+        first ``/metrics`` scrape after boot already
         carries HELP/TYPE lines and kind conflicts fail at startup."""
         d = self.registry.describe
         d("repro_jobs_total", "counter",
@@ -810,69 +796,33 @@ class JobManager:
             return json.load(handle)
 
     # -- observability ---------------------------------------------------
-    def _counter_value(self, family: str, label: Optional[str],
-                       values: Tuple[str, ...]) -> int:
-        """Sum of a registry counter family's matching series."""
-        fam = self.registry.get(family)
-        if fam is None:
-            return 0
-        return int(sum(inst.value for key, inst in list(fam.series.items())
-                       if label is None or dict(key).get(label) in values))
-
-    def metrics(self) -> Dict[str, Any]:
-        """Counters and gauges for the ``/metrics`` endpoint.
-
-        The counters are read from the metrics registry (see
-        :data:`JSON_COUNTERS`), so the JSON payload and the Prometheus
-        exposition can never disagree.
-        """
-        counters = {key: self._counter_value(*series)
-                    for key, series in JSON_COUNTERS.items()}
-        with self._lock:
-            running = len(self._running)
-            draining = self._draining
-            degraded = self._degraded
-            degraded_reason = self._degraded_reason
-            states: Dict[str, int] = {}
-            for jid in self._order:
-                state = self._jobs[jid].state
-                states[state] = states.get(state, 0) + 1
-        lookups = counters["cache_hits"] + counters["cache_misses"]
-        return {
-            **counters,
-            "queue_depth": self._queue.qsize(),
-            "running_jobs": running,
-            "job_workers": self.job_workers,
-            "worker_utilization": running / self.job_workers,
-            "cache_hit_rate": (counters["cache_hits"] / lookups
-                               if lookups else 0.0),
-            "jobs_by_state": states,
-            "max_pending": self.max_pending,
-            "draining": draining,
-            "degraded": degraded,
-            "degraded_reason": degraded_reason,
-        }
-
     def prom_registry(self) -> obs.MetricsRegistry:
         """The live registry with scrape-time gauges refreshed.
 
-        Counters and histograms accumulate as jobs run; the queue /
-        utilization gauges are snapshots, so they are (re)sampled here
-        — at scrape time — exactly like a Prometheus collector would.
+        Counters and histograms accumulate as jobs run; the queue,
+        utilization, cache-hit-rate and mode gauges are snapshots, so
+        they are (re)sampled here — at scrape time, from the manager's
+        own state under its lock — exactly like a Prometheus collector
+        would.
         """
-        snapshot = self.metrics()
-        self.registry.set("repro_job_queue_depth",
-                          snapshot["queue_depth"])
-        self.registry.set("repro_running_jobs", snapshot["running_jobs"])
-        self.registry.set("repro_job_workers", snapshot["job_workers"])
-        self.registry.set("repro_worker_utilization",
-                          snapshot["worker_utilization"])
-        self.registry.set("repro_cache_hit_rate",
-                          snapshot["cache_hit_rate"])
-        self.registry.set("repro_degraded",
-                          1 if snapshot["degraded"] else 0)
-        self.registry.set("repro_draining",
-                          1 if snapshot["draining"] else 0)
+        cache = self.registry.get("repro_cache_events_total")
+        events = {dict(key).get("event"): inst.value
+                  for key, inst in list(cache.series.items())}
+        hits, misses = events.get("hit", 0.0), events.get("miss", 0.0)
+        with self._lock:
+            running = len(self._running)
+            gauges = {
+                "repro_job_queue_depth": self._queue.qsize(),
+                "repro_running_jobs": running,
+                "repro_job_workers": self.job_workers,
+                "repro_worker_utilization": running / self.job_workers,
+                "repro_cache_hit_rate": (hits / (hits + misses)
+                                         if hits + misses else 0.0),
+                "repro_degraded": 1 if self._degraded else 0,
+                "repro_draining": 1 if self._draining else 0,
+            }
+            for name, value in gauges.items():
+                self.registry.set(name, value)
         return self.registry
 
     # -- shutdown --------------------------------------------------------

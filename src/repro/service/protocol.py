@@ -90,6 +90,11 @@ def _pct_key(pct: Any) -> str:
     return repr(float(pct))
 
 
+def _is_number(value: Any) -> bool:
+    """True for a JSON number (``true``/``false`` are not numbers)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise WireError(message)
@@ -206,11 +211,13 @@ class SweepRequest:
         _require(isinstance(payload.get("circuit"), str)
                  and payload["circuit"] != "",
                  "request needs a non-empty 'circuit' name")
+        scale = payload.get("scale", 0.05)
+        _require(_is_number(scale) and scale > 0,
+                 "'scale' must be a positive number")
         tp = payload.get("tp_percents")
         if tp is not None:
             _require(isinstance(tp, (list, tuple))
-                     and all(isinstance(p, (int, float))
-                             and not isinstance(p, bool) for p in tp),
+                     and all(_is_number(p) for p in tp),
                      "'tp_percents' must be a list of numbers")
             _require(all(p >= 0 for p in tp),
                      "'tp_percents' must be non-negative")
@@ -223,18 +230,24 @@ class SweepRequest:
                  "overrides")
         payload["options"] = dict(options)
         jobs = payload.get("jobs", 1)
-        _require(isinstance(jobs, int) and jobs >= 1,
-                 "'jobs' must be a positive integer")
+        _require(isinstance(jobs, int) and not isinstance(jobs, bool)
+                 and jobs >= 1, "'jobs' must be a positive integer")
         retries = payload.get("retries", 2)
-        _require(isinstance(retries, int) and retries >= 0,
+        _require(isinstance(retries, int)
+                 and not isinstance(retries, bool) and retries >= 0,
                  "'retries' must be a non-negative integer")
+        timeout = payload.get("task_timeout_s")
+        _require(timeout is None or _is_number(timeout) and timeout > 0,
+                 "'task_timeout_s' must be a positive number of "
+                 "seconds (or null)")
+        name = payload.get("name")
+        _require(name is None or isinstance(name, str),
+                 "'name' must be a string (or null)")
         trace = payload.get("trace", False)
         _require(isinstance(trace, bool), "'trace' must be a boolean")
         deadline = payload.get("deadline_s")
         if deadline is not None:
-            _require(isinstance(deadline, (int, float))
-                     and not isinstance(deadline, bool)
-                     and deadline > 0,
+            _require(_is_number(deadline) and deadline > 0,
                      "'deadline_s' must be a positive number of "
                      "seconds (or null)")
             payload["deadline_s"] = float(deadline)

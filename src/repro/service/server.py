@@ -6,18 +6,17 @@ are parsed with ``asyncio`` stream primitives and answered with JSON,
 which keeps the daemon importable anywhere the toolkit is (the whole
 point of a stdlib-only reproduction).
 
-Endpoints (all JSON; the wire formats live in
-:mod:`repro.service.protocol`):
+Endpoints (JSON, except the Prometheus text of ``/metrics``; the wire
+formats live in :mod:`repro.service.protocol`):
 
 ========  =====================  =======================================
 method    path                   meaning
 ========  =====================  =======================================
-GET       ``/healthz``           liveness: version, uptime, worker count
-GET       ``/metrics``           queue depth, worker utilization, cache
-                                 hit rate, eviction/retry/crash counters
-GET       ``/metrics?format=prom``  the same registry in Prometheus
-                                 text exposition format (also chosen by
-                                 an ``Accept: text/plain`` header)
+GET       ``/healthz``           liveness: version, uptime, worker
+                                 count, draining/degraded and why
+GET       ``/metrics``           the metrics registry in Prometheus text
+                                 exposition format 0.0.4 (any query
+                                 string or ``Accept`` header is ignored)
 POST      ``/sweeps``            submit a sweep; 202 + job record
 GET       ``/sweeps``            list job records, oldest first
 GET       ``/sweeps/<id>``       job record + journal-streamed per-cell
@@ -34,7 +33,10 @@ Error contract: 400 malformed/invalid payloads
 (:class:`~repro.service.protocol.WireError`), 404 unknown job or
 route, 405 wrong method, 409 result requested before the job finished,
 500 only for daemon bugs.  Every error body is
-``{"error": "<message>"}``.
+``{"error": "<message>"}``.  ``repro_request_seconds`` labels each
+request with its route (``healthz``, ``metrics``, ``sweeps``); every
+other path shares ``route="unmatched"``, so probes of unknown paths
+cannot grow the exposition.
 
 Connections are handled one request each (``Connection: close``) — a
 submit-poll-fetch client opens a handful of sockets per sweep, and the
@@ -56,7 +58,6 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Union
-from urllib.parse import parse_qs
 
 import repro
 from repro import obs
@@ -95,20 +96,15 @@ _STATUS_TEXT = {
 }
 
 
-class RawBody:
-    """A non-JSON response body (the Prometheus exposition text)."""
+#: Content type of the ``/metrics`` exposition text.
+PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-    __slots__ = ("text", "content_type")
+#: The routes ``repro_request_seconds`` labels by name.
+ROUTES = frozenset({"healthz", "metrics", "sweeps"})
 
-    def __init__(self, text: str,
-                 content_type: str =
-                 "text/plain; version=0.0.4; charset=utf-8"):
-        self.text = text
-        self.content_type = content_type
-
-
-#: What a handler may return as its payload.
-Payload = Union[Dict[str, Any], RawBody]
+#: What a handler may return as its payload: a JSON object, or the
+#: exposition text.
+Payload = Union[Dict[str, Any], str]
 
 
 @dataclass
@@ -198,9 +194,9 @@ class SweepService:
         except Exception as exc:  # daemon bug: surface, don't hang up
             status, payload = 500, {"error":
                                     f"{type(exc).__name__}: {exc}"}
-        if isinstance(payload, RawBody):
-            body = payload.text.encode("utf-8")
-            content_type = payload.content_type
+        if isinstance(payload, str):
+            body = payload.encode("utf-8")
+            content_type = PROM_CONTENT_TYPE
         else:
             body = json.dumps(payload).encode("utf-8")
             content_type = "application/json"
@@ -259,13 +255,11 @@ class SweepService:
                 body = await reader.readexactly(length)
             except asyncio.IncompleteReadError:
                 return 400, {"error": "request body truncated"}, {}
-        path, _, raw_query = target.partition("?")
-        query = parse_qs(raw_query)
+        path = target.partition("?")[0]
         t0 = time.monotonic()
         extra: Dict[str, str] = {}
         try:
-            status, payload = self._route(method.upper(), path, query,
-                                          headers, body)
+            status, payload = self._route(method.upper(), path, body)
         except WireError as exc:
             status, payload = 400, {"error": str(exc)}
         except UnknownJobError as exc:
@@ -284,13 +278,13 @@ class SweepService:
                                     "retry_after_s": exc.retry_after_s}
             extra["Retry-After"] = str(max(1, round(exc.retry_after_s)))
         seconds = time.monotonic() - t0
-        route = next((p for p in path.split("/") if p), "/")
-        obs.observe("repro_request_seconds", seconds, route=route)
+        route = next((p for p in path.split("/") if p), "")
+        obs.observe("repro_request_seconds", seconds,
+                    route=route if route in ROUTES else "unmatched")
         return status, payload, extra
 
     # -- routing ---------------------------------------------------------
     def _route(self, method: str, path: str,
-               query: Dict[str, Any], headers: Dict[str, str],
                body: bytes) -> Tuple[int, Payload]:
         parts = [p for p in path.split("/") if p]
         if parts == ["healthz"]:
@@ -300,9 +294,7 @@ class SweepService:
         if parts == ["metrics"]:
             if method != "GET":
                 return 405, {"error": "metrics is GET-only"}
-            if self._wants_prom(query, headers):
-                return 200, RawBody(self._prom_text())
-            return 200, self._metrics()
+            return 200, self._prom_text()
         if not parts or parts[0] != "sweeps" or len(parts) > 3:
             return 404, {"error": f"no such route: {path}"}
         if len(parts) == 1:
@@ -328,19 +320,6 @@ class SweepService:
         if method == "DELETE":
             return 200, self.manager.cancel(job_id).to_wire()
         return 405, {"error": "job accepts GET and DELETE"}
-
-    @staticmethod
-    def _wants_prom(query: Dict[str, Any],
-                    headers: Dict[str, str]) -> bool:
-        """Content negotiation for ``/metrics``: an explicit
-        ``?format=prom`` (or ``?format=json``) wins; otherwise an
-        ``Accept`` header asking for ``text/plain`` selects the
-        exposition format.  Default stays JSON — existing scripts keep
-        working."""
-        fmt = (query.get("format") or [""])[0].lower()
-        if fmt:
-            return fmt == "prom"
-        return "text/plain" in headers.get("accept", "").lower()
 
     # -- handlers --------------------------------------------------------
     def _submit(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
@@ -393,11 +372,6 @@ class SweepService:
             "degraded": manager.degraded,
             "degraded_reason": manager.degraded_reason,
         }
-
-    def _metrics(self) -> Dict[str, Any]:
-        metrics = self.manager.metrics()
-        metrics["uptime_s"] = time.monotonic() - self.started_mono
-        return metrics
 
     def _prom_text(self) -> str:
         """The manager's registry, gauges freshly sampled, rendered in

@@ -1,13 +1,17 @@
-"""Shared fixtures: the library and small session-cached circuits, plus
-the ``--update-golden`` option of the golden-table regression tests."""
+"""Shared fixtures: the library and small session-cached circuits, the
+``--update-golden`` option of the golden-table regression tests, and
+the Prometheus sample reader the service tests read ``/metrics`` with."""
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
 from repro.circuits import s38417_like
 from repro.library import cmos130
 from repro.netlist import Circuit
+from repro.obs import render_registry
 
 
 def pytest_addoption(parser):
@@ -69,3 +73,32 @@ def tiny_pipeline(lib):
                                           "Q": "q2"})
     c.add_output("po", "q2")
     return c
+
+
+_PROM_SAMPLE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})? (\S+)$")
+_PROM_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+
+
+def prom_samples(text):
+    """``(name, labels, value)`` for every sample line of a scrape."""
+    samples = []
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        name, labels, value = _PROM_SAMPLE.match(line).groups()
+        samples.append((name, dict(_PROM_LABEL.findall(labels or "")),
+                        float(value)))
+    return samples
+
+
+def prom_value(text, name, **labels):
+    """Sum of the scrape's ``name`` samples whose labels include
+    ``labels`` (every series of ``name`` when none are given)."""
+    return sum(value for sample, got, value in prom_samples(text)
+               if sample == name and labels.items() <= got.items())
+
+
+def scrape(manager):
+    """A job manager's registry as ``GET /metrics`` renders it (the
+    daemon adds only ``repro_uptime_seconds``)."""
+    return render_registry(manager.prom_registry())

@@ -114,23 +114,6 @@ def test_sweep_lint_failure_exits_4_at_every_job_count(jobs, monkeypatch,
     assert "[NL001]" in out and "\naborted: " in out
 
 
-def test_selflint_command_gates_on_baseline(tmp_path, capsys):
-    # The real tree against the committed baseline: clean, exit 0.
-    assert main(["selflint"]) == 0
-    assert "self-lint OK" in capsys.readouterr().out
-
-    # A dirty scratch tree with no baseline: exit 4 with findings.
-    src = tmp_path / "src"
-    src.mkdir()
-    (src / "dirty.py").write_text("def f(x):\n    return list(set(x))\n")
-    rc = main(["selflint", "--src", str(src),
-               "--baseline", str(tmp_path / "baseline.json"),
-               "--json", str(tmp_path / "report.json")])
-    assert rc == 4
-    assert "SELF005" in capsys.readouterr().out
-    assert json.loads((tmp_path / "report.json").read_text())["schema"] == 2
-
-
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         main([])

@@ -21,13 +21,12 @@ The headline assertions are the service's two contracts:
 from __future__ import annotations
 
 import json
-import re
 import threading
 import time
 
 import pytest
 
-from repro import api
+from repro import api, obs
 from repro.service import (
     ServiceClient,
     ServiceConfig,
@@ -35,8 +34,8 @@ from repro.service import (
     ServiceThread,
     SweepRequest,
 )
-from repro.service.jobs import JSON_COUNTERS
 from repro.service.protocol import canonical_result_bytes
+from tests.conftest import prom_samples, prom_value
 
 #: Cheap ATPG knobs, matching tests/test_executor.py's FAST_ATPG.
 ATPG = {"seed": 7, "backtrack_limit": 24, "max_deterministic": 60,
@@ -75,49 +74,93 @@ def test_healthz(client):
     assert payload["uptime_s"] >= 0
 
 
-#: The JSON ``/metrics`` key set; scripts and dashboards parse it.
-METRICS_KEYS = {
-    "jobs_submitted", "jobs_completed", "jobs_failed", "jobs_cancelled",
-    "jobs_coalesced", "jobs_recovered", "jobs_interrupted",
-    "jobs_rejected", "jobs_expired", "cells_done", "cells_failed",
-    "retries", "timeouts", "worker_crashes", "cache_hits",
-    "cache_misses", "cache_evictions", "cache_write_failures",
-    "journal_torn_lines", "store_torn_lines", "queue_depth",
-    "running_jobs", "job_workers", "worker_utilization",
-    "cache_hit_rate", "jobs_by_state", "max_pending", "draining",
-    "degraded", "degraded_reason", "uptime_s",
+#: Every family of the ``/metrics`` exposition and its TYPE.  The
+#: daemon declares them all at boot, so even an idle scrape has them.
+METRIC_TYPES = {
+    "repro_cache_events_total": "counter",
+    "repro_cache_hit_rate": "gauge",
+    "repro_cache_write_failures_total": "counter",
+    "repro_cell_seconds": "histogram",
+    "repro_cells_total": "counter",
+    "repro_degraded": "gauge",
+    "repro_draining": "gauge",
+    "repro_job_queue_depth": "gauge",
+    "repro_job_queue_wait_seconds": "histogram",
+    "repro_job_seconds": "histogram",
+    "repro_job_workers": "gauge",
+    "repro_jobs_total": "counter",
+    "repro_journal_torn_lines_total": "counter",
+    "repro_request_seconds": "histogram",
+    "repro_running_jobs": "gauge",
+    "repro_stage_seconds": "histogram",
+    "repro_store_torn_lines_total": "counter",
+    "repro_task_retries_total": "counter",
+    "repro_task_timeouts_total": "counter",
+    "repro_uptime_seconds": "gauge",
+    "repro_worker_crashes_total": "counter",
+    "repro_worker_utilization": "gauge",
 }
 
 
+def metric_types(text):
+    """``{family: TYPE}`` from a scrape's ``# TYPE`` lines."""
+    return dict(line.split(" ")[2:4] for line in text.splitlines()
+                if line.startswith("# TYPE "))
+
+
+def series_label_sets(text):
+    """``{family: {label items}}`` of a scrape, ``le`` left out, with
+    a histogram's ``_bucket``/``_sum``/``_count`` folded into its
+    family."""
+    types = metric_types(text)
+    series = {}
+    for name, labels, _ in prom_samples(text):
+        for suffix in ("_bucket", "_sum", "_count"):
+            base = name[:-len(suffix)]
+            if name.endswith(suffix) and types.get(base) == "histogram":
+                name = base
+        labels.pop("le", None)
+        series.setdefault(name, set()).add(tuple(sorted(labels.items())))
+    return series
+
+
 def test_metrics_shape(client):
-    metrics = client.metrics()
-    assert set(metrics) == METRICS_KEYS
+    assert metric_types(client.metrics_prom()) == METRIC_TYPES
 
 
-_PROM_SAMPLE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})? (\S+)$")
-_PROM_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+#: The series the scripted job mix below leaves in the exposition
+#: (``le`` aside), captured before ``/metrics`` dropped its JSON view:
+#: dropping it must not change the exposition.
+STAGES = ("atpg", "eco_cts_route", "extraction", "floorplan_place",
+          "scan_reorder", "sta", "tpi_scan")
+MIX_SERIES = {
+    **{family: {()} for family, kind in METRIC_TYPES.items()
+       if kind == "gauge"},
+    "repro_cache_events_total": {(("event", event),) for event in
+                                 ("corrupt", "evict", "hit", "miss")},
+    "repro_cell_seconds": {(("circuit", "s38417"),)},
+    "repro_cells_total": {(("circuit", "s38417"), ("outcome", "ok"))},
+    "repro_job_queue_wait_seconds": {()},
+    "repro_job_seconds": {()},
+    "repro_jobs_total": {(("event", event),) for event in
+                         ("cancelled", "coalesced", "completed",
+                          "expired", "rejected", "submitted")},
+    "repro_request_seconds": {(("route", "metrics"),),
+                              (("route", "sweeps"),)},
+    "repro_stage_seconds": {(("circuit", "s38417"), ("stage", stage))
+                            for stage in STAGES},
+}
 
 
-def prom_samples(text):
-    """``(name, labels, value)`` for every sample line of a scrape."""
-    samples = []
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        name, labels, value = _PROM_SAMPLE.match(line).groups()
-        samples.append((name, dict(_PROM_LABEL.findall(labels or "")),
-                        float(value)))
-    return samples
-
-
-def test_json_metrics_agree_with_prometheus(tmp_path):
-    """Every JSON counter is its registry series: script one of each
-    job outcome, then compare the two ``/metrics`` formats."""
+def test_scripted_job_mix_counts_in_prometheus_series(tmp_path):
+    """Script one of each job outcome, then read every count from the
+    exposition's series."""
     config = ServiceConfig(port=0, cache_dir=str(tmp_path),
                            job_workers=1, max_pending=2)
     with ServiceThread(config) as thread:
         client = ServiceClient(thread.base_url, timeout_s=10.0,
                                retries=0)
+        assert prom_value(client.metrics_prom(), "repro_jobs_total") == 0
         blocker = submit(client, (0.8, 1.8))                  # completes
         deadline = time.monotonic() + 120
         while client.status(blocker.id)["state"] != "running":
@@ -132,24 +175,25 @@ def test_json_metrics_agree_with_prometheus(tmp_path):
         assert client.wait(blocker.id, timeout_s=300)["state"] == "done"
         assert client.wait(doomed.id, timeout_s=300)["state"] \
             == "cancelled"
+        text = client.metrics_prom()
 
-        metrics = client.metrics()
-        samples = prom_samples(client.metrics_prom())
+    assert obs.validate_exposition(text) == []
+    assert metric_types(text) == METRIC_TYPES
+    assert series_label_sets(text) == MIX_SERIES
 
-    assert set(metrics) == METRICS_KEYS
-    for key, (family, label, values) in JSON_COUNTERS.items():
-        expected = sum(value for name, labels, value in samples
-                       if name == family
-                       and (label is None or labels.get(label) in values))
-        assert metrics[key] == expected, key
-    assert metrics["jobs_submitted"] == 3
-    assert metrics["jobs_coalesced"] == 1
-    assert metrics["jobs_rejected"] == 1
-    assert metrics["jobs_cancelled"] == 2     # the twin and the expiry
-    assert metrics["jobs_expired"] == 1
-    assert metrics["jobs_completed"] == 1
-    assert metrics["cells_done"] == 2
-    assert metrics["cache_misses"] == 2
+    def jobs(event):
+        return prom_value(text, "repro_jobs_total", event=event)
+
+    assert jobs("submitted") == 3
+    assert jobs("coalesced") == 1
+    assert jobs("rejected") == 1
+    assert jobs("cancelled") == 2     # the twin and the expiry
+    assert jobs("expired") == 1
+    assert jobs("completed") == 1
+    assert (prom_value(text, "repro_cells_total", outcome="ok")
+            + prom_value(text, "repro_cells_total", outcome="cached")) == 2
+    assert prom_value(text, "repro_cache_events_total",
+                      event="miss") == 2
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +225,7 @@ def test_daemon_result_is_byte_identical_to_api_sweep(client):
 # ----------------------------------------------------------------------
 def test_concurrent_identical_submissions_dedup(daemon, client):
     levels = (1.0, 3.0)  # fresh levels: cold cache for this spec
-    before = client.metrics()
+    before = client.metrics_prom()
 
     second_client = ServiceClient(daemon.base_url, timeout_s=10.0)
     first = submit(client, levels)
@@ -218,10 +262,14 @@ def test_concurrent_identical_submissions_dedup(daemon, client):
                for run in report_b.results["s38417"].runs.values())
     assert report_b.cache_hits == len(levels)
 
-    after = client.metrics()
-    assert after["jobs_coalesced"] >= before["jobs_coalesced"] + 1
-    assert after["cache_hits"] >= before["cache_hits"] + len(levels)
-    assert after["cache_hit_rate"] > 0
+    after = client.metrics_prom()
+    assert (prom_value(after, "repro_jobs_total", event="coalesced")
+            >= prom_value(before, "repro_jobs_total", event="coalesced")
+            + 1)
+    assert (prom_value(after, "repro_cache_events_total", event="hit")
+            >= prom_value(before, "repro_cache_events_total", event="hit")
+            + len(levels))
+    assert prom_value(after, "repro_cache_hit_rate") > 0
 
 
 # ----------------------------------------------------------------------
@@ -337,6 +385,38 @@ def test_unknown_route_is_404(client):
     assert status == 404
 
 
+def test_unknown_paths_share_one_request_series(tmp_path):
+    config = ServiceConfig(port=0, cache_dir=str(tmp_path),
+                           job_workers=1)
+    with ServiceThread(config) as thread:
+        client = ServiceClient(thread.base_url, timeout_s=10.0)
+
+        def routes():
+            return {labels["route"]: value
+                    for name, labels, value
+                    in prom_samples(client.metrics_prom())
+                    if name == "repro_request_seconds_count"}
+
+        before = routes()
+        for n in range(5):
+            status, _ = client._request("GET", f"/probe-{n}")
+            assert status == 404
+        after = routes()
+    # The scrapes add route="metrics"; the five probes, one series.
+    assert set(after) - set(before) - {"metrics"} == {"unmatched"}
+    assert after["unmatched"] == 5
+
+
+def test_malformed_request_fields_are_rejected_with_400(client):
+    for field, value in (("task_timeout_s", "5"), ("scale", "big")):
+        wire = SweepRequest(circuit="s38417", scale=SCALE,
+                            tp_percents=(0.0,)).to_wire()
+        wire[field] = value
+        status, payload = client._request("POST", "/sweeps", body=wire)
+        assert status == 400
+        assert field in payload["error"]
+
+
 def test_wrong_method_is_405(client):
     status, _ = client._request("DELETE", "/healthz")
     assert status == 405
@@ -376,11 +456,9 @@ def test_job_listing_covers_submissions(client):
 
 
 # ----------------------------------------------------------------------
-# Telemetry: Prometheus scrape, content negotiation, traces
+# Telemetry: Prometheus scrape, traces
 # ----------------------------------------------------------------------
 def test_prom_scrape_is_valid_and_has_stage_histogram(client):
-    from repro import obs
-
     record = submit(client, (0.0, 2.0))  # warm cache: fast
     final = client.wait(record.id, timeout_s=300)
     assert final["state"] == "done"
@@ -400,7 +478,7 @@ def test_prom_scrape_is_valid_and_has_stage_histogram(client):
         assert family in text, family
 
 
-def test_metrics_content_negotiation(daemon, client):
+def test_metrics_ignores_format_query_and_accept(daemon):
     import http.client
 
     def fetch(path, accept=None):
@@ -414,30 +492,28 @@ def test_metrics_content_negotiation(daemon, client):
             response = conn.getresponse()
             return (response.status,
                     response.getheader("Content-Type", ""),
-                    response.read())
+                    response.read().decode("utf-8"))
         finally:
             conn.close()
 
-    # Default stays JSON for backward compatibility.
-    status, ctype, body = fetch("/metrics")
-    assert status == 200 and "application/json" in ctype
-    assert "queue_depth" in json.loads(body)
-    # Accept: text/plain negotiates the Prometheus encoding.
-    status, ctype, body = fetch("/metrics", accept="text/plain")
-    assert status == 200 and "text/plain" in ctype
-    assert b"# TYPE" in body
-    # An explicit ?format=json beats the Accept header.
-    status, ctype, body = fetch("/metrics?format=json",
-                                accept="text/plain")
-    assert status == 200 and "application/json" in ctype
-    # And ?format=prom needs no header at all.
-    status, ctype, body = fetch("/metrics?format=prom")
-    assert status == 200 and "text/plain" in ctype
+    bodies = []
+    for path, accept in (("/metrics", None),
+                         ("/metrics?format=json", None),
+                         ("/metrics?format=prom", None),
+                         ("/metrics", "application/json")):
+        status, ctype, body = fetch(path, accept)
+        assert status == 200
+        assert ctype == "text/plain; version=0.0.4; charset=utf-8"
+        assert obs.validate_exposition(body) == []
+        # Only what the scrapes themselves move may differ: the uptime
+        # gauge and the request histogram of route="metrics".
+        bodies.append([line for line in body.splitlines()
+                       if not line.startswith("repro_uptime_seconds ")
+                       and 'route="metrics"' not in line])
+    assert all(lines == bodies[0] for lines in bodies)
 
 
 def test_traced_job_yields_merged_chrome_trace(client):
-    from repro import obs
-
     # Fresh levels: cache hits drop stored traces by design, so the
     # per-cell flow traces only exist when the cells really compute.
     record = submit(client, (0.33, 2.33), jobs=2, trace=True)
@@ -461,8 +537,6 @@ def test_traced_job_yields_merged_chrome_trace(client):
 
 
 def test_untraced_job_still_has_job_level_trace(client):
-    from repro import obs
-
     record = submit(client, (0.0,))
     client.wait(record.id, timeout_s=300)
     merged = client.trace(record.id)
@@ -478,7 +552,6 @@ def test_stored_job_trace_is_the_chrome_trace_served(daemon, client,
                                                      capsys):
     from pathlib import Path
 
-    from repro import obs
     from repro.cli import main
 
     record = submit(client, (0.0,), trace=True)
@@ -524,7 +597,6 @@ def test_report_carries_wall_and_monotonic_stamps(client):
 
 
 def test_job_manager_restores_registry_on_shutdown(tmp_path):
-    from repro import obs
     from repro.service.jobs import JobManager
 
     before = obs.get_registry()

@@ -30,6 +30,7 @@ from repro.service import (
     ServiceThread,
     SweepRequest,
 )
+from tests.conftest import prom_value
 
 #: Cheap-but-real ATPG settings, matching tests/test_chaos.py.
 ATPG = {"seed": 7, "backtrack_limit": 24, "max_deterministic": 60,
@@ -93,11 +94,11 @@ def test_persistent_kill_degrades_job_but_not_daemon(client):
     assert not client.result(healthy.id).failures
 
     # The queue drained and the daemon still answers.
-    metrics = client.metrics()
-    assert metrics["queue_depth"] == 0
-    assert metrics["running_jobs"] == 0
-    assert metrics["cells_failed"] >= 1
-    assert metrics["worker_crashes"] >= 1
+    metrics = client.metrics_prom()
+    assert prom_value(metrics, "repro_job_queue_depth") == 0
+    assert prom_value(metrics, "repro_running_jobs") == 0
+    assert prom_value(metrics, "repro_cells_total", outcome="failed") >= 1
+    assert prom_value(metrics, "repro_worker_crashes_total") >= 1
     assert client.healthz()["status"] == "ok"
 
 
@@ -111,7 +112,8 @@ def test_transient_kill_recovers_via_retry(client):
     assert not report.failures
     assert report.worker_crashes >= 1
     assert len(report.results["s38417"].runs) == 2
-    assert client.metrics()["retries"] >= 1
+    assert prom_value(client.metrics_prom(),
+                      "repro_task_retries_total") >= 1
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +131,8 @@ def test_hung_worker_is_timed_out_and_retried(client):
     report = client.result(record.id)
     assert not report.failures
     assert report.timeouts >= 1
-    assert client.metrics()["timeouts"] >= 1
+    assert prom_value(client.metrics_prom(),
+                      "repro_task_timeouts_total") >= 1
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +157,8 @@ def test_corrupt_cache_entry_recomputed_on_resubmission(client):
     runs = report.results["s38417"].runs
     assert runs[0.0].from_cache
     assert not runs[1.0].from_cache
-    assert client.metrics()["cache_hits"] >= 1
+    assert prom_value(client.metrics_prom(), "repro_cache_events_total",
+                      event="hit") >= 1
 
 
 # ----------------------------------------------------------------------

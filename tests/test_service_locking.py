@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro.service.jobs import JobManager, UnknownJobError
+from tests.conftest import prom_value, scrape
 
 
 @pytest.fixture
@@ -46,16 +47,22 @@ def test_draining_property_round_trip(manager):
 
 
 def test_metrics_snapshot_carries_flags(manager):
-    before = manager.metrics()
-    assert before["draining"] is False
-    assert before["degraded"] is False
-    assert before["degraded_reason"] is None
+    before = scrape(manager)
+    for name, value in (("repro_job_queue_depth", 0),
+                        ("repro_running_jobs", 0),
+                        ("repro_job_workers", 1),
+                        ("repro_worker_utilization", 0),
+                        ("repro_cache_hit_rate", 0),
+                        ("repro_draining", 0),
+                        ("repro_degraded", 0)):
+        assert prom_value(before, name) == value, name
+    assert manager.degraded_reason is None
     manager._enter_degraded_mode("torn cache entry")
     manager.begin_drain()
-    after = manager.metrics()
-    assert after["draining"] is True
-    assert after["degraded"] is True
-    assert after["degraded_reason"] == "torn cache entry"
+    after = scrape(manager)
+    assert prom_value(after, "repro_draining") == 1
+    assert prom_value(after, "repro_degraded") == 1
+    assert manager.degraded_reason == "torn cache entry"
 
 
 def test_unknown_job_raises_through_locked_lookups(manager):
@@ -79,9 +86,10 @@ def test_concurrent_readers_survive_flag_flips(manager):
     def reader():
         while not stop.is_set():
             try:
-                snapshot = manager.metrics()
-                if snapshot["degraded"]:
-                    if snapshot["degraded_reason"] is None:
+                if prom_value(scrape(manager), "repro_degraded") == 1:
+                    # The gauge is sampled under the lock that sets the
+                    # flag and its reason together.
+                    if manager.degraded_reason is None:
                         failures.append("degraded without a reason")
                 manager.records()
                 manager.retry_after_hint()
@@ -100,7 +108,7 @@ def test_concurrent_readers_survive_flag_flips(manager):
                 manager._enter_degraded_mode("mid-hammer failure")
             if n == 35:
                 manager.begin_drain()
-            manager.metrics()
+            manager.prom_registry()
     finally:
         stop.set()
         for thread in threads:
@@ -111,10 +119,8 @@ def test_concurrent_readers_survive_flag_flips(manager):
 
 
 def test_prom_registry_reflects_flag_flips(manager):
-    from repro.obs.promtext import render_registry
-
     manager._enter_degraded_mode("boom")
     manager.begin_drain()
-    text = render_registry(manager.prom_registry())
+    text = scrape(manager)
     assert "repro_degraded 1" in text
     assert "repro_draining 1" in text

@@ -70,7 +70,11 @@ fault_plans = st.builds(
 requests = st.builds(
     SweepRequest,
     circuit=names,
-    scale=st.floats(min_value=0.001, max_value=1.0, allow_nan=False),
+    # Integers too: decoding must keep an int as sent, or the
+    # spec key (and with it coalescing) would change across the wire.
+    scale=st.one_of(st.integers(1, 4),
+                    st.floats(min_value=0.001, max_value=1.0,
+                              allow_nan=False)),
     tp_percents=st.one_of(
         st.none(),
         st.lists(nonneg, min_size=1, max_size=6, unique=True).map(tuple),
@@ -83,8 +87,8 @@ requests = st.builds(
     jobs=st.integers(min_value=1, max_value=8),
     retries=st.integers(min_value=0, max_value=5),
     task_timeout_s=st.one_of(
-        st.none(), st.floats(min_value=0.1, max_value=600,
-                             allow_nan=False)),
+        st.none(), st.integers(1, 600),
+        st.floats(min_value=0.1, max_value=600, allow_nan=False)),
     name=st.one_of(st.none(), names),
     chaos=st.one_of(st.none(), fault_plans),
 )
@@ -282,9 +286,22 @@ class TestStrictDecoding:
         lambda w: w.update(retries=-1),
         lambda w: w.update(options=[1, 2]),
         lambda w: w.update(chaos={"faults": [{"kind": "meteor"}]}),
+        lambda w: w.update(scale="big"),
+        lambda w: w.update(scale=0),
+        lambda w: w.update(scale=True),
+        lambda w: w.update(scale=None),
+        lambda w: w.update(task_timeout_s="5"),
+        lambda w: w.update(task_timeout_s=-1.0),
+        lambda w: w.update(task_timeout_s=True),
+        lambda w: w.update(name=7),
+        lambda w: w.update(jobs=True),
+        lambda w: w.update(retries=False),
     ], ids=["empty-circuit", "null-circuit", "dup-tp", "negative-tp",
             "string-tp", "zero-jobs", "string-jobs", "negative-retries",
-            "list-options", "bad-chaos"])
+            "list-options", "bad-chaos", "string-scale", "zero-scale",
+            "bool-scale", "null-scale", "string-timeout",
+            "negative-timeout", "bool-timeout", "int-name", "bool-jobs",
+            "bool-retries"])
     def test_invalid_requests_rejected(self, mutate):
         wire = SweepRequest(circuit="s38417").to_wire()
         mutate(wire)

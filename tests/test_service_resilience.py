@@ -47,6 +47,7 @@ from repro.service import (
     SweepRequest,
 )
 from repro.service.protocol import canonical_result_bytes
+from tests.conftest import prom_value
 
 #: Cheap ATPG knobs, matching tests/test_service.py.
 ATPG = {"seed": 7, "backtrack_limit": 24, "max_deterministic": 60,
@@ -107,7 +108,8 @@ def test_drain_finishes_inflight_and_sheds_submits(tmp_path):
         assert thread.drain(timeout_s=240.0) is True
         assert client.status(inflight.id)["state"] == "done"
         assert client.result(inflight.id) is not None
-        assert client.metrics()["jobs_rejected"] >= 1
+        assert prom_value(client.metrics_prom(), "repro_jobs_total",
+                          event="rejected") >= 1
 
     # Zero lost jobs: the store's final word on every admitted job is
     # terminal, and the rejected submit never entered it.
@@ -137,9 +139,9 @@ def test_bounded_queue_rejects_with_429_and_retry_after(tmp_path):
         assert err.value.retry_after_s >= 1
         assert "full" in str(err.value)
 
-        metrics = client.metrics()
-        assert metrics["jobs_rejected"] >= 1
-        assert metrics["max_pending"] == 1
+        # The 429 on the second queued job is max_pending=1 at work.
+        assert prom_value(client.metrics_prom(), "repro_jobs_total",
+                          event="rejected") >= 1
 
         client.cancel(queued.id)
         client.wait(blocker.id, timeout_s=240)
@@ -162,10 +164,12 @@ def test_deadline_expired_while_queued_cancels_without_running(tmp_path):
         assert "expired before the job started" in final["error"]
         # It never ran: no journal events, no result.
         assert final["progress"]["total"] == 0
-        metrics = client.metrics()
-        assert metrics["jobs_expired"] >= 1
+        metrics = client.metrics_prom()
+        assert prom_value(metrics, "repro_jobs_total",
+                          event="expired") >= 1
         # Expiry is a cancellation, queued or mid-run alike.
-        assert metrics["jobs_cancelled"] >= 1
+        assert prom_value(metrics, "repro_jobs_total",
+                          event="cancelled") >= 1
         client.wait(blocker.id, timeout_s=240)
 
 
@@ -205,16 +209,11 @@ def test_cache_write_failure_degrades_but_jobs_succeed(tmp_path):
         assert health["degraded"] is True
         assert record.id in health["degraded_reason"]
 
-        metrics = client.metrics()
-        assert metrics["degraded"] is True
-        assert metrics["cache_write_failures"] >= 1
         prom = client.metrics_prom()
         assert "repro_degraded 1" in prom
         # The counter counts failed writes, not degraded-mode entries.
         assert (f"repro_cache_write_failures_total "
                 f"{report.cache_write_failures}") in prom
-        assert metrics["cache_write_failures"] \
-            == report.cache_write_failures
         # ... once: the event counter does not count it a second time.
         assert 'event="write_failed"' not in prom
 
@@ -395,9 +394,10 @@ def test_daemon_kill9_restart_soak(tmp_path):
     try:
         client2 = ServiceClient(url2, timeout_s=10.0)
         assert record.id in [r.id for r in client2.jobs()]
-        metrics = client2.metrics()
-        assert (metrics["jobs_interrupted"] >= 1
-                or metrics["jobs_recovered"] >= 1)
+        metrics = client2.metrics_prom()
+        assert (prom_value(metrics, "repro_jobs_total", event="interrupted")
+                + prom_value(metrics, "repro_jobs_total",
+                             event="recovered")) >= 1
 
         final = client2.wait(record.id, timeout_s=240)
         assert final["state"] == "done"

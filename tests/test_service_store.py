@@ -50,6 +50,7 @@ from repro.service.protocol import (
 )
 from repro.service import store as store_module
 from repro.service.store import STORE_FILENAME, STORE_VERSION
+from tests.conftest import prom_value, scrape
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -307,10 +308,12 @@ def test_restart_readopts_done_jobs_with_servable_report(tmp_path):
         assert recovered is not None
         assert (canonical_result_bytes(recovered.results["s38417"])
                 == canonical_result_bytes(original.results["s38417"]))
-        metrics = reborn.metrics()
-        assert metrics["jobs_recovered"] == 1
-        assert metrics["jobs_interrupted"] == 0
-        assert metrics["store_torn_lines"] == 0
+        metrics = scrape(reborn)
+        assert prom_value(metrics, "repro_jobs_total",
+                          event="recovered") == 1
+        assert prom_value(metrics, "repro_jobs_total",
+                          event="interrupted") == 0
+        assert prom_value(metrics, "repro_store_torn_lines_total") == 0
     finally:
         reborn.shutdown()
 
@@ -340,7 +343,8 @@ def test_restart_resumes_interrupted_job_byte_identical(tmp_path):
 
     reborn = JobManager(cache_dir=str(tmp_path), job_workers=1)
     try:
-        assert reborn.metrics()["jobs_interrupted"] == 1
+        assert prom_value(scrape(reborn), "repro_jobs_total",
+                          event="interrupted") == 1
         final = wait_terminal(reborn, job.id)
         assert final.state == JOB_DONE
         resumed = reborn.report(job.id)
@@ -400,7 +404,8 @@ def test_recovered_cancelled_job_stays_cancelled(tmp_path):
     try:
         assert manager.record("jgone").state == JOB_CANCELLED
         assert manager.report("jgone") is None
-        assert manager.metrics()["jobs_recovered"] == 1
+        assert prom_value(scrape(manager), "repro_jobs_total",
+                          event="recovered") == 1
     finally:
         manager.shutdown()
 
@@ -418,8 +423,8 @@ def test_restart_counts_store_torn_lines(tmp_path):
 
     reborn = JobManager(cache_dir=str(tmp_path), job_workers=1)
     try:
-        metrics = reborn.metrics()
-        assert metrics["store_torn_lines"] == 1
+        assert prom_value(scrape(reborn),
+                          "repro_store_torn_lines_total") == 1
         assert reborn.record(job.id).state == JOB_DONE
     finally:
         reborn.shutdown()
