@@ -30,10 +30,10 @@ fires on every attempt (the cell stays failed until the plan is
 disabled).  Nothing here consults a clock or a live RNG, so a chaos
 run replays identically — the whole point.
 
-Plans thread two ways into a sweep: programmatically via
-``ExecutorConfig(chaos=plan)``, or through the ``REPRO_CHAOS``
-environment variable (a path to a plan JSON, or inline JSON), which is
-how the CLI and CI script them.  The flow calls
+A plan reaches a sweep one way, as ``ExecutorConfig.chaos``: set by
+``api.sweep*(chaos=plan)``, by ``repro sweep``/``repro submit
+--chaos PLAN.json`` (the file :meth:`FaultPlan.save` writes), or by a
+daemon request's ``SweepRequest.chaos``.  The flow calls
 :func:`checkpoint(stage)` at the top of every stage; with no plan
 activated for the current cell this is a single module-global ``None``
 check — the harness costs nothing in production.
@@ -48,9 +48,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
-
-#: Environment variable naming a plan file (or holding inline JSON).
-ENV_VAR = "REPRO_CHAOS"
 
 #: Supported fault kinds.
 KINDS = ("raise", "hang", "kill", "corrupt_cache", "cache_write_error")
@@ -200,21 +197,6 @@ class FaultPlan:
         return cls.from_dict(
             json.loads(Path(path).read_text(encoding="utf-8"))
         )
-
-
-def plan_from_env() -> Optional[FaultPlan]:
-    """The plan named by :data:`ENV_VAR`, or None.
-
-    The variable may hold a path to a plan JSON file or the JSON text
-    itself (it starts with ``{``).  Unreadable values raise — silently
-    dropping a chaos plan would make a chaos test pass vacuously.
-    """
-    raw = os.environ.get(ENV_VAR, "").strip()
-    if not raw:
-        return None
-    if raw.startswith("{"):
-        return FaultPlan.from_dict(json.loads(raw))
-    return FaultPlan.load(raw)
 
 
 # ----------------------------------------------------------------------

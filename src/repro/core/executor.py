@@ -545,9 +545,10 @@ class ExecutorConfig:
             cell failure; unstarted cells are reported as aborted.
             Off (the default), the sweep degrades gracefully and
             returns every cell it could compute.
-        chaos: Deterministic fault-injection plan (tests/CI only); the
-            ``REPRO_CHAOS`` environment variable is the CLI-side way
-            to set it.  Never part of the cache key.
+        chaos: Deterministic fault-injection plan (tests/CI only),
+            the one way a plan reaches a sweep (``api.sweep*(chaos=)``,
+            ``--chaos PLAN.json`` and ``SweepRequest.chaos`` all set
+            it).  Never part of the cache key.
         cache_max_bytes: Size cap of the result cache; over it, the
             least-recently-used entries are evicted on write (see
             :class:`ResultCache`).  None means unbounded (the classic
@@ -567,6 +568,10 @@ class ExecutorConfig:
             once a cache write has failed — a daemon on a full disk
             keeps computing and serving, it just stops trusting the
             disk with new artifacts.
+        registry: Metrics registry the sweep counts its cells,
+            stage and cell latencies, retries, timeouts, crashes and
+            cache events into.  The sweep daemon passes its own;
+            None gives the sweep a private registry nobody reads.
     """
 
     jobs: int = 1
@@ -582,6 +587,7 @@ class ExecutorConfig:
     journal: Optional[str] = None
     cancel_check: Optional[Callable[[], bool]] = None
     cache_read_only: bool = False
+    registry: Optional[obs.MetricsRegistry] = None
 
     @property
     def cache(self) -> Optional[ResultCache]:
@@ -665,12 +671,12 @@ def _run_level(task: _LevelTask) -> FlowSummary:
     root spans are exactly the run's stage spans; the resulting
     :class:`~repro.obs.tracer.Trace` rides back on the summary.
     Tracing is scoped, so an inline (``jobs=1``) run leaves the
-    parent's tracer untouched.  A chaos plan (task-carried, or from
-    the ``REPRO_CHAOS`` environment) is activated around the flow so
-    scripted stage faults fire for exactly this cell and attempt.
+    parent's tracer untouched.  The task's chaos plan, if any, is
+    activated around the flow so scripted stage faults fire for
+    exactly this cell and attempt.
     """
-    plan = task.chaos if task.chaos is not None else chaos.plan_from_env()
-    with chaos.active(plan, task.name, task.tp_percent, task.attempt):
+    with chaos.active(task.chaos, task.name, task.tp_percent,
+                      task.attempt):
         circuit = task.circuit_factory()
         library = task.library if task.library is not None else cmos130()
         if task.trace:
@@ -695,8 +701,7 @@ def _check_picklable(task: _LevelTask) -> None:
 
 
 def _plan_levels(config: ExperimentConfig,
-                 executor: ExecutorConfig,
-                 plan: Optional[FaultPlan] = None) -> List[_LevelTask]:
+                 executor: ExecutorConfig) -> List[_LevelTask]:
     """Expand one experiment into per-level tasks with cache keys.
 
     The circuit is built once per level *in the parent* purely to
@@ -720,7 +725,7 @@ def _plan_levels(config: ExperimentConfig,
             cache_key=flow_cache_key(config.circuit_factory(), flow,
                                      library),
             trace=executor.trace,
-            chaos=plan,
+            chaos=executor.chaos,
         ))
     return tasks
 
@@ -838,12 +843,13 @@ class _Scheduler:
     def __init__(self, executor: ExecutorConfig,
                  cache: Optional[ResultCache], tracer,
                  journal: Optional[SweepJournal],
-                 plan: Optional[FaultPlan]):
+                 registry: obs.MetricsRegistry):
         self.executor = executor
         self.cache = cache
         self.tracer = tracer
         self.journal = journal
-        self.plan = plan
+        self.registry = registry
+        self.plan = executor.chaos
         self.policy = executor.retry_policy
         self.summaries: Dict[Tuple[str, float], FlowSummary] = {}
         self.failures: List[TaskFailure] = []
@@ -879,8 +885,8 @@ class _Scheduler:
         self.summaries[(task.name, task.tp_percent)] = _cache_hit(stored)
         now = self.tracer.now()
         self.tracer.record_span(f"cache_hit:{task.label}", now, now)
-        obs.inc("repro_cells_total", 1, circuit=task.name,
-                outcome="cached")
+        self.registry.inc("repro_cells_total", 1, circuit=task.name,
+                          outcome="cached")
         self._journal_event("task_cached", task)
         return True
 
@@ -894,11 +900,12 @@ class _Scheduler:
         # parallel sweeps aggregate identically (and cache hits never
         # pass through here, so they cannot pollute the distribution).
         for stage, seconds in summary.stage_seconds.items():
-            obs.observe("repro_stage_seconds", seconds,
-                        stage=stage, circuit=task.name)
-        obs.observe("repro_cell_seconds", max(0.0, mono_elapsed),
-                    circuit=task.name)
-        obs.inc("repro_cells_total", 1, circuit=task.name, outcome="ok")
+            self.registry.observe("repro_stage_seconds", seconds,
+                                  stage=stage, circuit=task.name)
+        self.registry.observe("repro_cell_seconds",
+                              max(0.0, mono_elapsed), circuit=task.name)
+        self.registry.inc("repro_cells_total", 1, circuit=task.name,
+                          outcome="ok")
         if self.cache:
             self._cache_result(task, summary)
         self._journal_event("task_done", task, attempt=attempt)
@@ -922,7 +929,7 @@ class _Scheduler:
             self.cache.write_failures += 1
             self.cache.read_only = True
             obs.counter("cache.write_failed")
-            obs.inc("repro_cache_write_failures_total")
+            self.registry.inc("repro_cache_write_failures_total")
             self._journal_event("cache_write_failed", task,
                                 error=f"{type(exc).__name__}: {exc}")
             return
@@ -943,15 +950,16 @@ class _Scheduler:
         if will_retry:
             self.retries += 1
             self.tracer.counter("task.retries")
-            obs.inc("repro_task_retries_total", 1, circuit=task.name)
+            self.registry.inc("repro_task_retries_total", 1,
+                              circuit=task.name)
             return self.policy.delay_s(attempt + 1)
         self.failures.append(TaskFailure.from_exception(
             task.name, task.tp_percent, attempt + 1, exc,
             cache_key=task.cache_key,
         ))
         self.tracer.counter("sweep.failed_cells")
-        obs.inc("repro_cells_total", 1, circuit=task.name,
-                outcome="failed")
+        self.registry.inc("repro_cells_total", 1, circuit=task.name,
+                          outcome="failed")
         self._journal_event("task_exhausted", task, attempts=attempt + 1,
                             error_type=info["error_type"])
         if self.executor.fail_fast:
@@ -978,8 +986,8 @@ class _Scheduler:
             cache_key=task.cache_key,
         ))
         self.tracer.counter("sweep.failed_cells")
-        obs.inc("repro_cells_total", 1, circuit=task.name,
-                outcome="failed")
+        self.registry.inc("repro_cells_total", 1, circuit=task.name,
+                          outcome="failed")
         self._journal_event("task_aborted", task,
                             cancelled=self.cancelled)
 
@@ -1103,7 +1111,7 @@ class _Scheduler:
                     # A dead worker poisons every in-flight future.
                     self.crashes += 1
                     self.tracer.counter("sweep.worker_crashes")
-                    obs.inc("repro_worker_crashes_total")
+                    self.registry.inc("repro_worker_crashes_total")
                     for future, (task, attempt, _tw, _tm, solo) in \
                             list(in_flight.items()):
                         broken_tasks.append((task, attempt, solo))
@@ -1149,8 +1157,9 @@ class _Scheduler:
                             if future in overdue:
                                 self.timeouts += 1
                                 self.tracer.counter("task.timeouts")
-                                obs.inc("repro_task_timeouts_total",
-                                        1, circuit=task.name)
+                                self.registry.inc(
+                                    "repro_task_timeouts_total", 1,
+                                    circuit=task.name)
                                 exc = TaskTimeoutError(
                                     f"{task.label} exceeded the "
                                     f"{timeout:g}s task timeout "
@@ -1199,11 +1208,11 @@ def run_sweeps_report(
     executor = executor or ExecutorConfig()
     cache = executor.cache
     tracer = obs.get_tracer()
-    plan = (executor.chaos if executor.chaos is not None
-            else chaos.plan_from_env())
+    registry = (executor.registry if executor.registry is not None
+                else obs.MetricsRegistry())
     tasks: List[_LevelTask] = []
     for config in configs:
-        tasks.extend(_plan_levels(config, executor, plan))
+        tasks.extend(_plan_levels(config, executor))
 
     started_at = time.time()
     started_mono = time.monotonic()
@@ -1220,7 +1229,7 @@ def run_sweeps_report(
                 jobs=executor.jobs,
                 retries=executor.retries,
                 task_timeout_s=executor.task_timeout_s,
-                chaos=plan is not None,
+                chaos=executor.chaos is not None,
                 cells=[
                     {"name": t.name, "tp_percent": t.tp_percent,
                      "key": t.cache_key}
@@ -1228,7 +1237,7 @@ def run_sweeps_report(
                 ],
             )
 
-        scheduler = _Scheduler(executor, cache, tracer, journal, plan)
+        scheduler = _Scheduler(executor, cache, tracer, journal, registry)
         pending = [task for task in tasks
                    if not scheduler.serve_cached(task)]
         if cache is not None:
@@ -1258,7 +1267,7 @@ def run_sweeps_report(
         for event, count in (("hit", cache.hits), ("miss", cache.misses),
                              ("corrupt", cache.corrupt),
                              ("evict", cache.evictions)):
-            obs.inc("repro_cache_events_total", count, event=event)
+            registry.inc("repro_cache_events_total", count, event=event)
 
     results: Dict[str, ExperimentResult] = {}
     for config in configs:

@@ -21,9 +21,12 @@ daemon job's lifecycle in the job store; neither is telemetry.
 The performance record of the reproduction is ``benchmarks/perf``,
 which builds on the tracer; nothing here stores bench timings.
 
-Everything is off by default and free when off: the process-wide
-tracer and registry are shared null singletons until a caller
-installs real ones::
+A metrics registry is an object its owner creates and passes on: the
+daemon's job manager hands its one registry to every sweep on
+``ExecutorConfig.registry``.  The tracer is the one process-wide
+telemetry object, because the flow opens its spans deep inside
+library code; it is a shared null singleton, off and free, until a
+caller installs a real one::
 
     from repro import obs
 
@@ -41,17 +44,9 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
-    NULL_REGISTRY,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
-    get_registry,
-    inc,
-    install_registry,
     log_buckets,
-    metrics_active,
-    observe,
-    set_gauge,
 )
 from repro.obs.promtext import render_registry, validate_exposition
 from repro.obs.tracer import (
@@ -74,9 +69,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "NULL_TRACER",
-    "NullRegistry",
     "NullTracer",
     "Span",
     "Trace",
@@ -85,17 +78,11 @@ __all__ = [
     "counter",
     "format_trace_summary",
     "gauge",
-    "get_registry",
     "get_tracer",
     "in_span",
-    "inc",
     "install",
-    "install_registry",
     "log_buckets",
-    "metrics_active",
-    "observe",
     "render_registry",
-    "set_gauge",
     "span",
     "summarize_merged",
     "tracing",

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges and histograms.
+"""Metrics registry: counters, gauges and histograms.
 
 The span tracer (:mod:`repro.obs.tracer`) answers *why one run was
 slow*; this module answers *how the fleet behaves over many runs*.  It
@@ -7,26 +7,25 @@ holding named metric families — monotonic **counters**, last-value
 **gauges** and log-bucketed **histograms** — each optionally split by
 a small set of labels (``stage="atpg"``, ``circuit="s38417"``, ...).
 
-Design constraints mirror the tracer's:
+Design constraints:
 
-* **Free when off.**  A process-wide :data:`NULL_REGISTRY` is
-  installed by default; the module-level helpers (:func:`inc`,
-  :func:`observe`, :func:`set_gauge`) degenerate to a no-op method
-  call with no allocation and no lock acquisition.  Code under
-  measurement never checks whether metrics are on.
+* **Owned, not installed.**  A registry is an object its owner
+  creates and passes on; nothing here is process-wide.  The daemon's
+  :class:`~repro.service.jobs.JobManager` keeps one and hands it to
+  every sweep on ``ExecutorConfig.registry``, so two daemons in one
+  process count apart.
 * **Prometheus-compatible semantics.**  Histogram buckets follow the
   exposition contract: the bucket labelled ``le=x`` counts every
   observation ``<= x``, buckets are cumulative when rendered, and an
   implicit ``+Inf`` bucket catches the tail, so
   :mod:`repro.obs.promtext` can encode a registry without loss.
-* **Mergeable.**  Registries (and individual snapshots) merge:
-  counters add, gauges keep the latest write, histograms add
-  bucket-wise.  The daemon uses this to fold per-job registries into
-  one scrape view.
 
-Thread safety: a registry serialises mutation behind one lock — the
-daemon's job workers share a single registry.  The null path takes no
-lock.
+Thread safety: the daemon's job workers and its event loop share one
+registry.  Every instrument a registry creates updates under the
+registry's one lock, and :meth:`MetricsRegistry.families` and
+:meth:`MetricsRegistry.get` hand out copies taken under it, so a
+scrape never renders half an observation (an ``le="+Inf"`` bucket
+that disagrees with ``_count``).
 """
 
 from __future__ import annotations
@@ -64,32 +63,53 @@ def _label_key(labels: Dict[str, str]) -> LabelKey:
 
 
 class Counter:
-    """Monotonic accumulator.  Negative increments are rejected."""
+    """Monotonic accumulator.  Negative increments are rejected.
 
-    __slots__ = ("value",)
+    Every instrument updates under ``lock``: a registry passes its
+    own, a standalone instrument makes one.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("value", "_lock")
+
+    def __init__(self, lock: Optional[threading.Lock] = None) -> None:
         self.value = 0.0
+        self._lock = lock or threading.Lock()
 
     def inc(self, delta: float = 1.0) -> None:
         if delta < 0:
             raise ValueError("counter increments must be >= 0")
-        self.value += delta
+        with self._lock:
+            self.value += delta
+
+    def copy(self) -> "Counter":
+        """A detached copy (the caller holds the lock)."""
+        twin = Counter()
+        twin.value = self.value
+        return twin
 
 
 class Gauge:
     """Last-written value."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_lock")
 
-    def __init__(self) -> None:
+    def __init__(self, lock: Optional[threading.Lock] = None) -> None:
         self.value = 0.0
+        self._lock = lock or threading.Lock()
 
     def set(self, value: float) -> None:
-        self.value = float(value)
+        with self._lock:
+            self.value = float(value)
 
     def inc(self, delta: float = 1.0) -> None:
-        self.value += delta
+        with self._lock:
+            self.value += delta
+
+    def copy(self) -> "Gauge":
+        """A detached copy (the caller holds the lock)."""
+        twin = Gauge()
+        twin.value = self.value
+        return twin
 
 
 class Histogram:
@@ -103,9 +123,10 @@ class Histogram:
     ``+Inf``; the exposition layer accumulates them.
     """
 
-    __slots__ = ("bounds", "bucket_counts", "sum", "count")
+    __slots__ = ("bounds", "bucket_counts", "sum", "count", "_lock")
 
-    def __init__(self, bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS):
+    def __init__(self, bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
+                 lock: Optional[threading.Lock] = None):
         bounds = tuple(float(b) for b in bounds)
         if not bounds:
             raise ValueError("histogram needs at least one finite bucket")
@@ -117,6 +138,7 @@ class Histogram:
         self.bucket_counts = [0] * (len(bounds) + 1)
         self.sum = 0.0
         self.count = 0
+        self._lock = lock or threading.Lock()
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -124,9 +146,19 @@ class Histogram:
         # the Prometheus rule "value <= le": an observation sitting on
         # a boundary belongs to that boundary's bucket, 0 lands in the
         # first bucket, and inf/NaN-free overflow lands in +Inf.
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
-        self.sum += value
-        self.count += 1
+        index = bisect_left(self.bounds, value)
+        with self._lock:
+            self.bucket_counts[index] += 1
+            self.sum += value
+            self.count += 1
+
+    def copy(self) -> "Histogram":
+        """A detached copy (the caller holds the lock)."""
+        twin = Histogram(self.bounds)
+        twin.bucket_counts = list(self.bucket_counts)
+        twin.sum = self.sum
+        twin.count = self.count
+        return twin
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """``(le, cumulative_count)`` pairs ending with ``(+Inf, count)``."""
@@ -137,32 +169,6 @@ class Histogram:
             out.append((bound, running))
         out.append((float("inf"), running + self.bucket_counts[-1]))
         return out
-
-
-class _NullInstrument:
-    """Shared no-op stand-in for every instrument kind when off."""
-
-    __slots__ = ()
-
-    value = 0.0
-    sum = 0.0
-    count = 0
-    bounds: Tuple[float, ...] = ()
-
-    def inc(self, delta: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def cumulative(self) -> List[Tuple[float, int]]:
-        return []
-
-
-_NULL_INSTRUMENT = _NullInstrument()
 
 
 class MetricFamily:
@@ -178,6 +184,13 @@ class MetricFamily:
         self.bounds = bounds
         self.series: Dict[LabelKey, object] = {}
 
+    def copy(self) -> "MetricFamily":
+        """A copy no later update reaches (the caller holds the
+        registry's lock)."""
+        twin = MetricFamily(self.name, self.kind, self.help, self.bounds)
+        twin.series = {key: inst.copy() for key, inst in self.series.items()}
+        return twin
+
 
 class MetricsRegistry:
     """Named metric families, each fanned out by label values.
@@ -188,9 +201,9 @@ class MetricsRegistry:
     :meth:`observe`) do the common one-shot update.  A family's kind
     is fixed at first use — re-registering a name with a different
     kind raises, which catches typo'd instrumentation in tests.
+    Every instrument shares the registry's one lock; :meth:`families`
+    and :meth:`get` return copies taken under it.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
@@ -217,11 +230,12 @@ class MetricsRegistry:
             inst = fam.series.get(key)
             if inst is None:
                 if kind == "counter":
-                    inst = Counter()
+                    inst = Counter(self._lock)
                 elif kind == "gauge":
-                    inst = Gauge()
+                    inst = Gauge(self._lock)
                 else:
-                    inst = Histogram(fam.bounds or DEFAULT_LATENCY_BUCKETS)
+                    inst = Histogram(fam.bounds or DEFAULT_LATENCY_BUCKETS,
+                                     self._lock)
                 fam.series[key] = inst
             return inst
 
@@ -272,128 +286,15 @@ class MetricsRegistry:
 
     # -- introspection ---------------------------------------------------
     def families(self) -> Iterator[MetricFamily]:
-        """Families in sorted-name order (stable exposition)."""
+        """Copies of the families in sorted-name order (stable
+        exposition), all taken at one instant."""
         with self._lock:
-            fams = sorted(self._families.values(), key=lambda f: f.name)
+            fams = [fam.copy() for fam in sorted(
+                self._families.values(), key=lambda f: f.name)]
         return iter(fams)
 
     def get(self, name: str) -> Optional[MetricFamily]:
+        """A copy of the family ``name``, or None."""
         with self._lock:
-            return self._families.get(name)
-
-    # -- merging ---------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry.
-
-        Counters and histograms add; gauges take the other side's
-        value (latest-write-wins, matching scrape semantics).
-        Histogram series must share bucket bounds — both sides come
-        from the same instrumentation code, so a mismatch is a bug.
-        """
-        for fam in other.families():
-            for key, inst in list(fam.series.items()):
-                labels = dict(key)
-                if fam.kind == "counter":
-                    self.counter(fam.name, fam.help, **labels).inc(inst.value)
-                elif fam.kind == "gauge":
-                    self.gauge(fam.name, fam.help, **labels).set(inst.value)
-                else:
-                    mine = self.histogram(
-                        fam.name, fam.help, buckets=inst.bounds, **labels)
-                    if mine.bounds != inst.bounds:
-                        raise ValueError(
-                            f"histogram {fam.name!r} bucket mismatch")
-                    for i, n in enumerate(inst.bucket_counts):
-                        mine.bucket_counts[i] += n
-                    mine.sum += inst.sum
-                    mine.count += inst.count
-
-
-class NullRegistry:
-    """Inactive registry: every operation is a cheap no-op.
-
-    Installed process-wide by default, mirroring
-    :class:`~repro.obs.tracer.NullTracer` — instrumentation points
-    cost one attribute lookup plus an empty method call when metrics
-    are off, and always hand back the same shared null instrument.
-    """
-
-    enabled = False
-
-    def describe(self, name: str, kind: str, help: str = "",
-                 buckets=None) -> None:
-        pass
-
-    def counter(self, name: str, help: str = "", **labels) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "", **labels) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, help: str = "", buckets=None,
-                  **labels) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def inc(self, name: str, delta: float = 1.0, help: str = "",
-            **labels) -> None:
-        pass
-
-    def set(self, name: str, value: float, help: str = "",
-            **labels) -> None:
-        pass
-
-    def observe(self, name: str, value: float, help: str = "",
-                buckets=None, **labels) -> None:
-        pass
-
-    def families(self) -> Iterator[MetricFamily]:
-        return iter(())
-
-    def get(self, name: str) -> None:
-        return None
-
-    def merge(self, other) -> None:
-        pass
-
-
-NULL_REGISTRY = NullRegistry()
-
-#: The process-wide active registry; NULL_REGISTRY unless installed.
-_current = NULL_REGISTRY
-
-
-def get_registry():
-    """The active registry (the shared :data:`NULL_REGISTRY` when off)."""
-    return _current
-
-
-def metrics_active() -> bool:
-    """True when a real registry is installed."""
-    return _current.enabled
-
-
-def install_registry(registry):
-    """Install ``registry`` process-wide; returns the previous one.
-
-    Scope installs with try/finally (or keep one registry for the
-    process lifetime, as the daemon does).
-    """
-    global _current
-    previous = _current
-    _current = registry
-    return previous
-
-
-def inc(name: str, delta: float = 1.0, **labels: str) -> None:
-    """Bump a counter on the active registry (no-op when off)."""
-    _current.inc(name, delta, **labels)
-
-
-def set_gauge(name: str, value: float, **labels: str) -> None:
-    """Set a gauge on the active registry (no-op when off)."""
-    _current.set(name, value, **labels)
-
-
-def observe(name: str, value: float, **labels: str) -> None:
-    """Record a histogram observation on the active registry."""
-    _current.observe(name, value, **labels)
+            fam = self._families.get(name)
+            return fam.copy() if fam is not None else None

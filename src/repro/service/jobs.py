@@ -55,9 +55,10 @@ has stopped waiting for.  A failing disk (cache write errors) flips
 the manager into a read-only-cache *degraded* mode instead of
 failing jobs.
 
-**Telemetry.**  The manager installs the daemon's one metrics
-registry and counts job lifecycle events into ``repro_jobs_total``;
-the executor's cell, stage, retry and cache counters land in the same
+**Telemetry.**  The manager owns the daemon's one metrics registry
+and counts job lifecycle events into ``repro_jobs_total``; it hands
+the registry to every job's executor on ``ExecutorConfig.registry``,
+so the cell, stage, retry and cache counters land in the same
 registry.  :meth:`JobManager.prom_registry` samples the scrape-time
 gauges (queue depth, utilization, cache hit rate, degraded/draining)
 under the manager's lock, and ``GET /metrics`` renders that registry
@@ -76,7 +77,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro import obs
-from repro.chaos import plan_from_env
 from repro.core.executor import ExecutorConfig, run_sweeps_report
 from repro.core.resilience import SweepReport
 from repro.jsonl import read_jsonl
@@ -229,15 +229,7 @@ class JobManager:
         self.store_dir = self.cache_dir / "jobs"
         self.job_workers = max(1, job_workers)
         self.max_pending = max_pending
-        # The daemon is the one place telemetry is on by default: a
-        # real registry is installed process-wide so the executor's
-        # instrumentation (stage/cell histograms, retry/timeout/cache
-        # counters) lands here while jobs grind in the worker threads.
-        # The previous registry comes back on shutdown, so an embedded
-        # manager (tests, notebooks) does not hijack the process for
-        # good.
         self.registry = obs.MetricsRegistry()
-        self._prev_registry = obs.install_registry(self.registry)
         self._describe_metrics()
         self.cache_max_bytes = cache_max_bytes
         self._build_experiment = (build_experiment
@@ -389,8 +381,7 @@ class JobManager:
 
         if request.circuit not in CIRCUITS:
             raise WireError(str(_unknown_circuit_error(request.circuit)))
-        plan = (request.chaos if request.chaos is not None
-                else plan_from_env())
+        plan = request.chaos
         if plan is not None and request.jobs <= 1 and any(
                 spec.kind in ("kill", "hang") for spec in plan.faults):
             raise WireError(
@@ -593,6 +584,7 @@ class JobManager:
             cancel_check=self._cancel_check(job),
             trace=request.trace,
             cache_read_only=self.degraded,
+            registry=self.registry,
         )
 
     def _run_job(self, job: _Job) -> None:
@@ -807,7 +799,7 @@ class JobManager:
         """
         cache = self.registry.get("repro_cache_events_total")
         events = {dict(key).get("event"): inst.value
-                  for key, inst in list(cache.series.items())}
+                  for key, inst in cache.series.items()}
         hits, misses = events.get("hit", 0.0), events.get("miss", 0.0)
         with self._lock:
             running = len(self._running)
@@ -839,11 +831,6 @@ class JobManager:
         for thread in self._threads:
             thread.join(timeout=timeout_s)
         self.store.close()
-        # Give the process its previous (usually null) registry back —
-        # but only if ours is still the installed one: a second
-        # manager may have been stacked on top in the meantime.
-        if obs.get_registry() is self.registry:
-            obs.install_registry(self._prev_registry)
 
 
 def _default_build_experiment(request: SweepRequest):

@@ -279,8 +279,9 @@ class SweepService:
             extra["Retry-After"] = str(max(1, round(exc.retry_after_s)))
         seconds = time.monotonic() - t0
         route = next((p for p in path.split("/") if p), "")
-        obs.observe("repro_request_seconds", seconds,
-                    route=route if route in ROUTES else "unmatched")
+        self.manager.registry.observe(
+            "repro_request_seconds", seconds,
+            route=route if route in ROUTES else "unmatched")
         return status, payload, extra
 
     # -- routing ---------------------------------------------------------

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import functools
 import glob
-import json
 
 import pytest
 
 from repro import api
 from repro.api import CIRCUITS
 from repro.atpg.engine import AtpgConfig
-from repro.chaos import ENV_VAR, FaultPlan, FaultSpec
+from repro.chaos import FaultPlan, FaultSpec
 from repro.core import (
     ExecutorConfig,
     ExperimentConfig,
@@ -154,20 +153,6 @@ def test_run_sweeps_raises_with_backcompat_failures(tmp_path):
     # The historical contract: (name, tp_percent, exception) triples.
     assert [(n, p, type(e).__name__) for n, p, e in err.value.failures] \
         == [("s38417", 1.0, "InjectedFault")]
-
-
-def test_chaos_plan_threads_through_environment(tmp_path, monkeypatch):
-    plan = FaultPlan(faults=(
-        FaultSpec(kind="raise", circuit="s38417", tp_percent=0.0,
-                  stage="tpi_scan", times=-1),
-    ))
-    monkeypatch.setenv(ENV_VAR, json.dumps(plan.to_dict()))
-    report = run_sweeps_report(
-        [_experiment("s38417", tp_percents=(0.0,))],
-        _executor(tmp_path, jobs=1, retries=0),
-    )
-    (failure,) = report.failures
-    assert failure.error_type == "InjectedFault"
 
 
 # ----------------------------------------------------------------------

@@ -135,13 +135,10 @@ def test_warm_cache_reruns_no_flow_stage(warm_result):
 def warm_journal(parallel_result, sweep_cache_dir):
     """A warm inline sweep's journal events and metrics registry."""
     registry = obs.MetricsRegistry()
-    previous = obs.install_registry(registry)
-    try:
-        report = run_sweeps_report(
-            [small_experiment()],
-            ExecutorConfig(jobs=1, cache_dir=sweep_cache_dir))
-    finally:
-        obs.install_registry(previous)
+    report = run_sweeps_report(
+        [small_experiment()],
+        ExecutorConfig(jobs=1, cache_dir=sweep_cache_dir,
+                       registry=registry))
     # The cache's journal holds the cold and warm runs before this one.
     events = read_journal(report.journal_path)
     last_start = max(i for i, e in enumerate(events)

@@ -1,5 +1,4 @@
-"""Tests for the metrics registry: bucket semantics, labels, merge,
-and the free-when-off null path.
+"""Tests for the metrics registry: bucket semantics and labels.
 
 The load-bearing contract is Prometheus ``le`` semantics: the bucket
 labelled ``le=x`` counts every observation ``<= x`` (boundary
@@ -12,13 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    _NULL_INSTRUMENT,
-    log_buckets,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, log_buckets
 
 
 # ----------------------------------------------------------------------
@@ -121,65 +114,9 @@ def test_describe_attaches_help_without_creating_series():
     assert reg.histogram("latency").bounds == (1.0, 2.0)
 
 
-def test_registry_merge_adds_counters_and_histograms():
-    a, b = obs.MetricsRegistry(), obs.MetricsRegistry()
-    a.inc("n", 1)
-    b.inc("n", 2)
-    a.observe("h", 0.5, buckets=(1.0,))
-    b.observe("h", 5.0, buckets=(1.0,))
-    a.set("g", 1.0)
-    b.set("g", 9.0)
-    a.merge(b)
-    assert a.counter("n").value == 3.0
-    h = a.histogram("h", buckets=(1.0,))
-    assert h.count == 2 and h.bucket_counts == [1, 1]
-    assert a.gauge("g").value == 9.0  # latest-write-wins
-
-
-def test_registry_merge_rejects_bucket_mismatch():
-    a, b = obs.MetricsRegistry(), obs.MetricsRegistry()
-    a.observe("h", 0.5, buckets=(1.0,))
-    b.observe("h", 0.5, buckets=(2.0,))
-    with pytest.raises(ValueError):
-        a.merge(b)
-
-
 def test_families_are_sorted_by_name():
     reg = obs.MetricsRegistry()
     for name in ("zed", "alpha", "mid"):
         reg.inc(name)
     assert [f.name for f in reg.families()] == ["alpha", "mid", "zed"]
 
-
-# ----------------------------------------------------------------------
-# Free-when-off invariant
-# ----------------------------------------------------------------------
-def test_null_registry_is_the_default_and_shared():
-    assert not obs.metrics_active()
-    reg = obs.get_registry()
-    assert reg is obs.NULL_REGISTRY
-    # Every accessor hands back the one shared null instrument: no
-    # allocation per call site when metrics are off.
-    assert reg.counter("a", x="1") is _NULL_INSTRUMENT
-    assert reg.gauge("b") is _NULL_INSTRUMENT
-    assert reg.histogram("c") is _NULL_INSTRUMENT
-    reg.inc("a")
-    reg.observe("c", 1.0)
-    assert list(reg.families()) == []
-    # module-level helpers are no-ops too
-    obs.inc("anything", 5, stage="x")
-    obs.observe("anything_else", 1.0)
-    obs.set_gauge("g", 2.0)
-    assert obs.get_registry().get("anything") is None
-
-
-def test_install_registry_scopes_and_restores():
-    reg = obs.MetricsRegistry()
-    previous = obs.install_registry(reg)
-    try:
-        assert obs.metrics_active()
-        obs.inc("hits", 2, kind="test")
-        assert reg.counter("hits", kind="test").value == 2.0
-    finally:
-        obs.install_registry(previous)
-    assert not obs.metrics_active()

@@ -8,6 +8,9 @@ so these tests pin the contract both sides share.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro import obs
@@ -94,6 +97,32 @@ def test_render_special_float_values():
     assert "g_neg -Inf" in text
     assert "g_nan NaN" in text
     assert validate_exposition(text) == []
+
+
+def test_scrapes_racing_an_observer_always_validate():
+    """A scrape taken while another thread observes renders every
+    histogram whole: ``le="+Inf"`` equals ``_count``."""
+    reg = obs.MetricsRegistry()
+    stop = threading.Event()
+
+    def writer():
+        while not stop.is_set():
+            reg.observe("repro_stage_seconds", 0.01, stage="atpg")
+
+    thread = threading.Thread(target=writer)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread.start()
+        invalid = [problems for problems in (
+            validate_exposition(render_registry(reg)) for _ in range(300))
+            if problems]
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert invalid == []
 
 
 # ----------------------------------------------------------------------

@@ -283,29 +283,6 @@ class TestFaultPlan:
         assert pickle.loads(pickle.dumps(plan)) == plan
 
 
-class TestPlanFromEnv:
-    def test_absent_means_none(self, monkeypatch):
-        monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-        assert chaos.plan_from_env() is None
-
-    def test_inline_json(self, monkeypatch):
-        plan = FaultPlan(faults=(FaultSpec(kind="raise", circuit="x"),))
-        monkeypatch.setenv(chaos.ENV_VAR, json.dumps(plan.to_dict()))
-        assert chaos.plan_from_env() == plan
-
-    def test_path(self, monkeypatch, tmp_path):
-        plan = FaultPlan(faults=(FaultSpec(kind="hang", seconds=1.0),))
-        path = tmp_path / "plan.json"
-        plan.save(path)
-        monkeypatch.setenv(chaos.ENV_VAR, str(path))
-        assert chaos.plan_from_env() == plan
-
-    def test_unreadable_raises_not_ignores(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(chaos.ENV_VAR, str(tmp_path / "missing.json"))
-        with pytest.raises(OSError):
-            chaos.plan_from_env()
-
-
 class TestCheckpoint:
     def test_inactive_checkpoint_is_noop(self):
         chaos.checkpoint("tpi_scan")  # no active context: returns

@@ -596,13 +596,25 @@ def test_report_carries_wall_and_monotonic_stamps(client):
     assert report.duration_s >= 0
 
 
-def test_job_manager_restores_registry_on_shutdown(tmp_path):
-    from repro.service.jobs import JobManager
+def test_two_daemons_in_one_process_count_apart(tmp_path):
+    """A daemon's cells and requests land in its own registry, not in
+    that of whichever daemon started last."""
+    def config(name):
+        return ServiceConfig(port=0, cache_dir=str(tmp_path / name),
+                             job_workers=1)
 
-    before = obs.get_registry()
-    manager = JobManager(cache_dir=str(tmp_path), job_workers=1)
-    try:
-        assert obs.get_registry() is manager.registry
-    finally:
-        manager.shutdown()
-    assert obs.get_registry() is before
+    with ServiceThread(config("first")) as first, \
+            ServiceThread(config("second")) as second:
+        client = ServiceClient(first.base_url, timeout_s=10.0)
+        record = submit(client, (0.5,))
+        assert client.wait(record.id, timeout_s=300)["state"] == "done"
+        first_text = client.metrics_prom()
+        second_text = ServiceClient(second.base_url,
+                                    timeout_s=10.0).metrics_prom()
+
+    assert prom_value(first_text, "repro_cells_total", outcome="ok") == 1
+    # The submit and at least one status poll.
+    assert prom_value(first_text, "repro_request_seconds_count",
+                      route="sweeps") >= 2
+    assert prom_value(second_text, "repro_cells_total") == 0
+    assert prom_value(second_text, "repro_request_seconds_count") == 0

@@ -2,8 +2,9 @@
 
 The daemon boots for real (ephemeral port) and jobs carry
 :class:`repro.chaos.FaultPlan` scripts — worker kills, hangs, torn
-cache writes — or inherit one from the ``REPRO_CHAOS`` environment,
-exactly as a soak rig would run it.  The properties under test:
+cache writes — on their requests (``SweepRequest.chaos``, the one way
+a plan reaches a daemon job), exactly as a soak rig would run it.
+The properties under test:
 
 * the queue always drains (every job reaches a terminal state, no
   wedged workers);
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import ENV_VAR, FaultPlan, FaultSpec
+from repro.chaos import FaultPlan, FaultSpec
 from repro.service import (
     ServiceClient,
     ServiceConfig,
@@ -170,26 +171,3 @@ def test_inline_kill_plan_is_rejected_at_submit(client):
     assert err.value.status == 400
     assert "jobs > 1" in str(err.value)
 
-
-def test_env_chaos_plan_guards_inline_jobs(tmp_path, monkeypatch):
-    import json
-
-    plan = kill_plan(0.0)
-    monkeypatch.setenv(ENV_VAR, json.dumps(plan.to_dict()))
-    config = ServiceConfig(port=0, cache_dir=str(tmp_path / "env"),
-                           job_workers=1)
-    with ServiceThread(config) as thread:
-        client = ServiceClient(thread.base_url, timeout_s=10.0)
-        # jobs=1 would run the kill inline in the daemon: rejected.
-        with pytest.raises(ServiceError) as err:
-            client.submit(request((0.0,), jobs=1))
-        assert err.value.status == 400
-        # jobs=2 sandboxes the fault in a worker process: accepted,
-        # and the ambient plan really fires.
-        record = client.submit(request((0.0, 1.0), jobs=2))
-        final = client.wait(record.id, timeout_s=300)
-        assert final["state"] == "done"
-        report = client.result(record.id)
-        assert report.worker_crashes >= 1
-        (failure,) = report.failures
-        assert failure.tp_percent == 0.0
