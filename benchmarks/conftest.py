@@ -17,21 +17,13 @@ reuse finished levels across bench invocations.
 
 from __future__ import annotations
 
-import functools
 import os
 import pathlib
 
 import pytest
 
-from repro import obs
+from repro import api, obs
 from repro.atpg import AtpgConfig
-from repro.circuits import control_core, dsp_core_p26909, s38417_like
-from repro.core import (
-    ExecutorConfig,
-    ExperimentConfig,
-    FlowConfig,
-    run_sweep,
-)
 
 #: Default bench scales per circuit (fraction of the published size).
 BENCH_SCALES = {
@@ -53,45 +45,16 @@ def _scale_for(name: str) -> float:
     return BENCH_SCALES[name]
 
 
-def _experiment(name: str) -> ExperimentConfig:
-    scale = _scale_for(name)
-    atpg = AtpgConfig(seed=2004, backtrack_limit=48)
-    # Factories are partials (picklable) so REPRO_BENCH_JOBS > 1 can
-    # ship them to executor worker processes.
-    if name == "s38417":
-        return ExperimentConfig(
-            name="s38417",
-            circuit_factory=functools.partial(s38417_like, scale=scale),
-            tp_percents=TP_PERCENTS,
-            flow=FlowConfig(target_utilization=0.97,
-                            max_chain_length=100, atpg=atpg),
-        )
-    if name == "control_core":
-        return ExperimentConfig(
-            name="control_core",
-            circuit_factory=functools.partial(control_core, scale=scale),
-            tp_percents=TP_PERCENTS,
-            flow=FlowConfig(target_utilization=0.97,
-                            max_chain_length=100, atpg=atpg),
-        )
-    if name == "p26909":
-        return ExperimentConfig(
-            name="p26909",
-            circuit_factory=functools.partial(dsp_core_p26909, scale=scale),
-            tp_percents=TP_PERCENTS,
-            flow=FlowConfig(target_utilization=0.50,
-                            max_chain_length=None, n_chains=32,
-                            atpg=atpg),
-        )
-    raise KeyError(name)
-
-
-def _executor() -> ExecutorConfig:
-    """Executor settings from the environment (serial, uncached default)."""
-    return ExecutorConfig(
+def _sweep(name: str, trace: bool):
+    """One circuit's six-layout sweep; the circuit registry
+    (``repro.api.CIRCUITS``) supplies the paper's per-circuit layout
+    and scan settings.  Executor settings come from the environment
+    (serial, uncached by default)."""
+    return api.sweep(
+        name, scale=_scale_for(name), tp_percents=TP_PERCENTS,
         jobs=int(os.environ.get("REPRO_BENCH_JOBS", "1")),
         cache_dir=os.environ.get("REPRO_BENCH_CACHE") or None,
-        trace=bool(os.environ.get("REPRO_BENCH_TRACE")),
+        trace=trace, atpg=AtpgConfig(seed=2004, backtrack_limit=48),
     )
 
 
@@ -105,10 +68,9 @@ def sweep_result(name: str):
     Chrome trace-event file lands in ``benchmarks/out/``.
     """
     if name not in _CACHE:
-        executor = _executor()
-        if executor.trace:
+        if os.environ.get("REPRO_BENCH_TRACE"):
             with obs.tracing(label=f"bench:{name}") as tracer:
-                result = run_sweep(_experiment(name), executor)
+                result = _sweep(name, trace=True)
             traces = [run.trace for run in result.runs.values()]
             traces.append(tracer.trace())
             OUT_DIR.mkdir(exist_ok=True)
@@ -116,7 +78,7 @@ def sweep_result(name: str):
             obs.write_chrome_trace(trace_path, traces)
             print(f"\n[bench artifact] {trace_path}")
         else:
-            result = run_sweep(_experiment(name), executor)
+            result = _sweep(name, trace=False)
         _CACHE[name] = result
     return _CACHE[name]
 

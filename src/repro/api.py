@@ -31,7 +31,7 @@ from repro.chaos import FaultPlan
 from repro.circuits import control_core, dsp_core_p26909, s38417_like
 from repro.core.executor import (
     ExecutorConfig,
-    run_sweep as _run_sweep,
+    SweepExecutionError,
     run_sweeps_report as _run_sweeps_report,
 )
 from repro.core.experiment import ExperimentConfig, ExperimentResult
@@ -298,7 +298,9 @@ def sweep(
 
     Every sweep runs through the fault-tolerant executor
     (:func:`repro.core.executor.run_sweeps_report`), at every job
-    count, so the results are the same whatever ``jobs`` is.
+    count, so the results are the same whatever ``jobs`` is.  This is
+    the one place where a sweep report with failed cells becomes an
+    exception; :func:`sweep_report` returns the report itself.
 
     Args:
         circuit: Registered benchmark name, or a zero-argument factory
@@ -338,17 +340,25 @@ def sweep(
         runs are :class:`repro.core.executor.FlowSummary` cells.
 
     Raises:
-        SweepExecutionError: A cell stayed failed after its retries
-            (the cell's own exception is on ``failures``).  Use
-            :func:`sweep_report` instead to get partial results plus
-            structured failures without an exception.
+        SweepExecutionError: A cell stayed failed after its retries.
+            ``failures`` holds one ``(name, tp_percent, exception)``
+            triple per failed cell, with the cell's own exception.
+            Use :func:`sweep_report` instead to get partial results
+            plus structured failures without an exception.
     """
     experiment = _build_experiment(circuit, library, config, scale,
                                    tp_percents, name, options)
     executor = _build_executor(jobs, cache_dir, trace, retries,
                                task_timeout_s, fail_fast, chaos,
                                cache_max_bytes)
-    return _run_sweep(experiment, executor)
+    report = _run_sweeps_report([experiment], executor)
+    if report.failures:
+        raise SweepExecutionError([
+            (f.name, f.tp_percent,
+             f.exception or RuntimeError(f.error_message))
+            for f in report.failures
+        ])
+    return report.results[experiment.name]
 
 
 def sweep_report(

@@ -138,21 +138,43 @@ def _placer_name(text: str) -> str:
     return text
 
 
-def _print_tables(result) -> None:
-    """Print one circuit's Tables 1-3 and stage runtimes.
+def _print_report(report, service: bool = False) -> int:
+    """Print a sweep report: every circuit's Tables 1-3 and stage
+    runtimes, then the failed cells.
 
-    Shared by the in-process ``sweep`` subcommand and the service-side
-    ``result``/``submit --wait`` ones, so a sweep's rendering is the
-    same no matter which path computed it.
+    The one printer behind the in-process ``sweep`` subcommand and the
+    service-side ``result``/``submit --wait`` ones, so a sweep renders
+    the same no matter which path computed it (``service`` adds the
+    daemon's cache counts).  A circuit with no finished cell has no
+    baseline row, so it gets a one-line note instead of tables.
+
+    Returns the subcommand's exit code: 3 for a degraded sweep, else 0.
     """
-    print("Table 1: Impact of TPI on test data")
-    print(format_table1(result.table1_rows()))
-    print("\nTable 2: Impact of TPI on silicon area")
-    print(format_table2(result.table2_rows()))
-    print("\nTable 3: Impact of TPI on timing")
-    print(format_table3(result.table3_rows()))
-    print("\nStage runtimes (seconds)")
-    print(format_stage_seconds(result))
+    for name in sorted(report.results):
+        result = report.results[name]
+        if len(report.results) > 1:
+            print(f"== {name} ==")
+        if not result.runs:
+            print(f"{name}: no cell finished, so there are no tables")
+            continue
+        print("Table 1: Impact of TPI on test data")
+        print(format_table1(result.table1_rows()))
+        print("\nTable 2: Impact of TPI on silicon area")
+        print(format_table2(result.table2_rows()))
+        print("\nTable 3: Impact of TPI on timing")
+        print(format_table3(result.table3_rows()))
+        print("\nStage runtimes (seconds)")
+        print(format_stage_seconds(result))
+    if service and (report.cache_hits or report.cache_misses):
+        print(f"\n[service] cache hits={report.cache_hits} "
+              f"misses={report.cache_misses} "
+              f"evictions={report.cache_evictions}")
+    if report.failures:
+        print(f"\nFAILED cells ({len(report.failures)}; tables above "
+              "have holes at these levels)")
+        print(format_failures(report.failures))
+        return 3
+    return 0
 
 
 def _report_lint_abort(err: LintError) -> int:
@@ -241,19 +263,14 @@ def cmd_sweep(args) -> int:
               f"worker-crashes={report.worker_crashes}")
     if report.journal_path:
         print(f"[executor] journal: {report.journal_path}")
-    _print_tables(result)
+    code = _print_report(report)
     if args.trace:
         # Every level's flow trace plus the parent's scheduling trace
-        # (queue waits, cache counters) merge into one timeline.
+        # (queue waits, cache hits) merge into one timeline.
         traces = [run.trace for run in result.runs.values()]
         obs.write_chrome_trace(args.trace, traces + [tracer.trace()])
         print(f"\nwrote trace to {args.trace}")
-    if report.failures:
-        print(f"\nFAILED cells ({len(report.failures)}; tables above "
-              "have holes at these levels)")
-        print(format_failures(report.failures))
-        return 3
-    return 0
+    return code
 
 
 def cmd_lint(args) -> int:
@@ -344,29 +361,6 @@ def _service_progress_line(progress: dict) -> str:
             f"{progress['failed']} failed)")
 
 
-def _print_service_report(report) -> int:
-    """Print a daemon report's tables (all circuits) and failures.
-
-    Returns the subcommand's exit code: 3 for a degraded sweep,
-    matching the in-process ``sweep`` contract, else 0.
-    """
-    for name in sorted(report.results):
-        result = report.results[name]
-        if len(report.results) > 1:
-            print(f"== {name} ==")
-        _print_tables(result)
-    if report.cache_hits or report.cache_misses:
-        print(f"\n[service] cache hits={report.cache_hits} "
-              f"misses={report.cache_misses} "
-              f"evictions={report.cache_evictions}")
-    if report.failures:
-        print(f"\nFAILED cells ({len(report.failures)}; tables above "
-              "have holes at these levels)")
-        print(format_failures(report.failures))
-        return 3
-    return 0
-
-
 def cmd_serve(args) -> int:
     """Run the sweep-serving daemon in the foreground."""
     from repro.service import ServiceConfig, run_daemon
@@ -421,7 +415,7 @@ def cmd_submit(args) -> int:
         return 1
     if state == "cancelled":
         return 3
-    code = _print_service_report(client.result(record.id))
+    code = _print_report(client.result(record.id), service=True)
     if args.trace:
         merged = client.trace(record.id)
         out = args.trace_out or f"{record.id}.trace.json"
@@ -453,8 +447,8 @@ def cmd_result(args) -> int:
     """Fetch a finished job's tables; exit 3 on a degraded sweep."""
     from repro.service import ServiceClient
 
-    return _print_service_report(
-        ServiceClient(args.url).result(args.job_id))
+    return _print_report(ServiceClient(args.url).result(args.job_id),
+                         service=True)
 
 
 def cmd_cancel(args) -> int:

@@ -414,7 +414,6 @@ class ResultCache:
             pass
         self.misses += 1
         self.corrupt += 1
-        obs.counter("cache.quarantined")
 
     def get(self, key: str) -> Optional[FlowSummary]:
         """Load the summary stored under ``key``, or None."""
@@ -503,7 +502,6 @@ class ResultCache:
                 continue
             total -= size
             self.evictions += 1
-            obs.counter("cache.evictions")
 
 
 # ----------------------------------------------------------------------
@@ -704,15 +702,17 @@ def _plan_levels(config: ExperimentConfig,
                  executor: ExecutorConfig) -> List[_LevelTask]:
     """Expand one experiment into per-level tasks with cache keys.
 
-    The circuit is built once per level *in the parent* purely to
-    compute its structural hash (factories are deterministic, so the
-    worker's fresh build hashes identically); the built netlist is
-    dropped, never pickled.  The chaos plan (if any) rides on the task
-    spec but never enters the cache key: a chaos run and a clean run
-    of the same configs share keys, which is what lets a re-run with
-    the plan disabled complete a chaos-holed sweep.
+    The circuit is built once *in the parent* purely to compute its
+    structural hash (every level starts from the same factory, and
+    factories are deterministic, so each worker's fresh build hashes
+    identically); the built netlist is never pickled.  The chaos plan
+    (if any) rides on the task spec but never enters the cache key: a
+    chaos run and a clean run of the same configs share keys, which is
+    what lets a re-run with the plan disabled complete a chaos-holed
+    sweep.
     """
     library = config.library or cmos130()
+    circuit = config.circuit_factory()
     tasks = []
     for pct in config.tp_percents:
         flow = replace(config.flow, tp_percent=pct)
@@ -722,8 +722,7 @@ def _plan_levels(config: ExperimentConfig,
             circuit_factory=config.circuit_factory,
             flow=flow,
             library=config.library,
-            cache_key=flow_cache_key(config.circuit_factory(), flow,
-                                     library),
+            cache_key=flow_cache_key(circuit, flow, library),
             trace=executor.trace,
             chaos=executor.chaos,
         ))
@@ -928,7 +927,6 @@ class _Scheduler:
         except OSError as exc:
             self.cache.write_failures += 1
             self.cache.read_only = True
-            obs.counter("cache.write_failed")
             self.registry.inc("repro_cache_write_failures_total")
             self._journal_event("cache_write_failed", task,
                                 error=f"{type(exc).__name__}: {exc}")
@@ -949,7 +947,6 @@ class _Scheduler:
                             will_retry=will_retry, **info)
         if will_retry:
             self.retries += 1
-            self.tracer.counter("task.retries")
             self.registry.inc("repro_task_retries_total", 1,
                               circuit=task.name)
             return self.policy.delay_s(attempt + 1)
@@ -957,7 +954,6 @@ class _Scheduler:
             task.name, task.tp_percent, attempt + 1, exc,
             cache_key=task.cache_key,
         ))
-        self.tracer.counter("sweep.failed_cells")
         self.registry.inc("repro_cells_total", 1, circuit=task.name,
                           outcome="failed")
         self._journal_event("task_exhausted", task, attempts=attempt + 1,
@@ -985,7 +981,6 @@ class _Scheduler:
             error_message=message,
             cache_key=task.cache_key,
         ))
-        self.tracer.counter("sweep.failed_cells")
         self.registry.inc("repro_cells_total", 1, circuit=task.name,
                           outcome="failed")
         self._journal_event("task_aborted", task,
@@ -1110,7 +1105,6 @@ class _Scheduler:
                 if pool_broken:
                     # A dead worker poisons every in-flight future.
                     self.crashes += 1
-                    self.tracer.counter("sweep.worker_crashes")
                     self.registry.inc("repro_worker_crashes_total")
                     for future, (task, attempt, _tw, _tm, solo) in \
                             list(in_flight.items()):
@@ -1156,7 +1150,6 @@ class _Scheduler:
                                 victims:
                             if future in overdue:
                                 self.timeouts += 1
-                                self.tracer.counter("task.timeouts")
                                 self.registry.inc(
                                     "repro_task_timeouts_total", 1,
                                     circuit=task.name)
@@ -1190,20 +1183,28 @@ def run_sweeps_report(
 ) -> SweepReport:
     """Run several circuits' sweeps fault-tolerantly; never lose cells.
 
-    The graceful-degradation twin of :func:`run_sweeps`: every
-    (circuit, level) task is retried per the executor's policy,
-    watched by the per-task timeout, and journalled; cells that stay
-    failed become structured
+    Every (circuit, level) pair is an independent task, so up to
+    ``jobs`` of all the circuits' levels run at once.  Each task is
+    retried per the executor's policy, watched by the per-task
+    timeout, and journalled; cells that stay failed become structured
     :class:`~repro.core.resilience.TaskFailure` records on the
     returned :class:`~repro.core.resilience.SweepReport` while every
     successful cell's :class:`FlowSummary` lands in
     ``report.results`` — Tables 1/2/3 render with explicit holes
-    instead of the sweep aborting.
+    instead of the sweep aborting.  :func:`repro.api.sweep` turns a
+    report with failures into :class:`SweepExecutionError`.
 
     With a cache directory configured, a ``journal.jsonl`` is appended
     next to the cache entries.  Every cell whose content-hash key is
     cached is served from the cache, so a killed sweep re-run on the
     same directory continues where it stopped.
+
+    With ``executor.trace`` set, every worker's flow trace rides back
+    on its summary.  The sweep's own scheduling spans (``level:``,
+    split into ``queue_wait`` and ``worker_run`` when the worker's
+    trace came back, and ``cache_hit:``) go to the tracer active in
+    *this* process: activate one with :func:`repro.obs.tracing` to
+    collect them.
     """
     executor = executor or ExecutorConfig()
     cache = executor.cache
@@ -1240,10 +1241,6 @@ def run_sweeps_report(
         scheduler = _Scheduler(executor, cache, tracer, journal, registry)
         pending = [task for task in tasks
                    if not scheduler.serve_cached(task)]
-        if cache is not None:
-            tracer.counter("cache_hits", cache.hits)
-            tracer.counter("cache_misses", cache.misses)
-            tracer.counter("cache_corrupt", cache.corrupt)
         scheduler.run(pending)
         summaries = scheduler.summaries
         failures = sorted(scheduler.failures,
@@ -1296,57 +1293,3 @@ def run_sweeps_report(
         finished_mono=time.monotonic(),
     )
 
-
-def run_sweeps(
-    configs: Sequence[ExperimentConfig],
-    executor: Optional[ExecutorConfig] = None,
-) -> Dict[str, ExperimentResult]:
-    """Run several circuits' sweeps, fanning all levels out together.
-
-    Every (circuit, level) pair is an independent task; with N circuits
-    of M levels each and ``jobs`` workers, up to ``jobs`` of the N*M
-    flows run concurrently.  Results are assembled into per-circuit
-    :class:`~repro.core.experiment.ExperimentResult` objects whose runs
-    hold :class:`FlowSummary` values — the Table 1/2/3 builders work
-    unchanged.
-
-    Execution is fault-tolerant (see :func:`run_sweeps_report`, which
-    this wraps): tasks are retried with deterministic backoff, hung
-    workers are timed out and their pool replaced, and completed cells
-    are cached/journalled as they finish.  The difference is the
-    failure contract — this function raises when any cell stays
-    failed, for callers that need all-or-nothing semantics.
-
-    With ``executor.trace`` set, every worker's flow trace rides back
-    on its summary, and the sweep's own scheduling (per-level
-    queue-wait/run spans, cache hit/miss/corrupt counters) is recorded
-    on the tracer active in *this* process — activate one around the
-    call with :func:`repro.obs.tracing` to collect it.
-
-    Raises:
-        SweepExecutionError: When any level stays failed after its
-            retries.  Levels that finished were already cached, so a
-            re-run resumes from the failures only.
-    """
-    report = run_sweeps_report(configs, executor)
-    if report.failures:
-        raise SweepExecutionError([
-            (f.name, f.tp_percent,
-             f.exception or RuntimeError(f.error_message))
-            for f in report.failures
-        ])
-    return report.results
-
-
-def run_sweep(
-    config: ExperimentConfig,
-    executor: Optional[ExecutorConfig] = None,
-) -> ExperimentResult:
-    """Run one circuit's sweep through the executor.
-
-    Drop-in for :func:`~repro.core.experiment.run_experiment`: the
-    returned object builds the same Table 1/2/3 rows, with
-    :class:`FlowSummary` values in ``runs`` instead of full
-    :class:`~repro.core.flow.FlowResult` objects.
-    """
-    return run_sweeps([config], executor)[config.name]

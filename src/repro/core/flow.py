@@ -43,7 +43,6 @@ from repro.lint.core import LintReport
 from repro.lint.netlist_rules import lint_netlist
 from repro.netlist.circuit import Circuit
 from repro.netlist.fanout import DrcReport, fix_electrical
-from repro.netlist.validate import validate
 from repro.scan.insertion import ScanChains, insert_scan
 from repro.scan.reorder import ReorderReport, reorder_chains
 from repro.sta.analysis import (
@@ -132,7 +131,7 @@ class FlowConfig:
             after DFT insertion (stage 0), once before routing, and —
             scoped to the dirty set — after every hold-fix ECO round.
             Widens the structural audit that always runs between
-            steps (:func:`repro.netlist.validate.validate`) with
+            steps (:func:`validate`) with
             combinational-loop, scan-chain and clock-domain audits;
             any error aborts the run with
             :class:`repro.lint.LintError`.  Reports land in
@@ -328,6 +327,21 @@ class FlowResult:
         }
 
 
+def validate(circuit: Circuit) -> None:
+    """The structural audit run between flow steps; raises
+    :class:`repro.lint.LintError` (``netlist validation failed: ...``)
+    on any error.
+
+    Only the cheap integrity rules run here: every net driven once
+    (NL001/NL002), dangling nets (NL003), connected pins (NL004),
+    consistent back-references (NL005) and ports (NL006), and clock
+    pins on declared clocks (DFT002).  ``FlowConfig.lint`` adds the
+    full pack as flow gates (:func:`_lint_gate`).
+    """
+    lint_netlist(circuit, structural_only=True).raise_on_error(
+        context="netlist validation")
+
+
 def _lint_gate(circuit: Circuit, config: FlowConfig, result: FlowResult,
                stage: str, nets=None) -> None:
     """Run the netlist/DFT pack as a flow gate; abort on errors.
@@ -403,7 +417,7 @@ def run_flow(circuit: Circuit, library: Library,
         sp.gauge("test_points", result.n_test_points)
         sp.gauge("scan_chains", result.chains.n_chains)
     result.stage_seconds["tpi_scan"] = clock() - t0
-    validate(circuit).raise_on_error()
+    validate(circuit)
     if config.lint:
         # Stage-0 gate: the freshly DFT-prepared netlist must pass the
         # full pack (loops, chain continuity/balance, clock domains)
@@ -507,7 +521,7 @@ def _layout_phase(circuit: Circuit, library: Library,
         if new_buffers:
             placer.eco_place(circuit, placement, new_buffers, hints=hints)
         sp.counter("clock_buffers", len(new_buffers))
-        validate(circuit).raise_on_error()
+        validate(circuit)
         if config.lint:
             # Pre-route gate: last full-pack audit before routing, so a
             # netlist corrupted by the ECO / CTS edits above is caught
@@ -605,7 +619,7 @@ def _layout_phase(circuit: Circuit, library: Library,
     # would otherwise occupy.  Fillers have no pins, so routing and
     # timing are unaffected; only the area census reads them.
     result.filler = insert_fillers(circuit, placement, library)
-    validate(circuit).raise_on_error()
+    validate(circuit)
 
 
 def _fix_hold_violations(circuit: Circuit, library: Library,

@@ -19,13 +19,8 @@ Four rule packs share one engine and one diagnostics vocabulary:
   return) and the store/journal flush+fsync durability contract.
 
 All Python-source packs run together via ``python -m repro.lint.self``
-(CI) or :func:`lint_python`.
-
-This package initialiser stays import-light on purpose: the legacy
-:mod:`repro.netlist.validate` module imports :mod:`repro.lint.core`
-while the ``repro.netlist`` package is still initialising, so nothing
-here may import back into the netlist/scan/tpi layers.  The rule-pack
-modules are exposed lazily via PEP 562.
+(CI) or :func:`repro.lint.self.lint_python`.  This package exports the
+engine's vocabulary; each pack's entry point lives in its own module.
 """
 
 from repro.lint.core import (
@@ -52,39 +47,7 @@ __all__ = [
     "Rule",
     "SEVERITIES",
     "WARNING",
-    "build_cfg",
-    "lint_concurrency",
-    "lint_netlist",
-    "lint_python",
-    "lint_resources",
-    "lint_sources",
     "pack_rules",
     "run_rules",
 ]
 
-#: Lazily-resolved exports: name -> home module.  Keeps this package
-#: importable from repro.netlist.validate without a circular import.
-_EXPORTS = {
-    "build_cfg": "repro.lint.cfg",
-    "lint_concurrency": "repro.lint.concrules",
-    "lint_netlist": "repro.lint.netlist_rules",
-    "lint_python": "repro.lint.self",
-    "lint_resources": "repro.lint.resrules",
-    "lint_sources": "repro.lint.selfrules",
-}
-
-
-def __getattr__(name: str):
-    """PEP 562 lazy resolution of the rule-pack entry points."""
-    import importlib
-
-    home = _EXPORTS.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(home), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

@@ -1,9 +1,9 @@
 """Core types of the static-analysis engine: rules, diagnostics, reports.
 
 Everything that looks at the repo statically — the netlist/DFT rule
-pack (:mod:`repro.lint.netlist_rules`), the determinism self-lint over
-the Python sources (:mod:`repro.lint.selfrules`) and the legacy
-:mod:`repro.netlist.validate` checks — speaks one vocabulary:
+pack (:mod:`repro.lint.netlist_rules`, whose structural subset is the
+flow's between-steps audit) and the Python-source packs run by
+:mod:`repro.lint.self` — speaks one vocabulary:
 
 * a :class:`Rule` is a named, documented check with a stable ID and a
   default severity;
@@ -129,8 +129,7 @@ class Rule:
         check: Callable producing :class:`Diagnostic`s for a context.
         hint: Default fix hint attached to findings without one.
         structural: True for the cheap netlist-integrity subset that
-            :func:`repro.netlist.validate.validate` runs between flow
-            steps.
+            :func:`repro.core.flow.validate` runs between flow steps.
     """
 
     id: str

@@ -3,8 +3,8 @@
 The pack has two tiers sharing the ``"netlist"`` rule registry:
 
 * **structural** rules (``NL*`` plus DFT002) are the cheap integrity
-  checks that :func:`repro.netlist.validate.validate` runs between
-  flow steps — undriven/multi-driven nets, unconnected pins, stale
+  checks that :func:`repro.core.flow.validate` runs between flow
+  steps — undriven/multi-driven nets, unconnected pins, stale
   driver/sink back-references, port wiring, clock-pin discipline;
 * **DFT** rules (``DFT*``) audit the test architecture itself:
   combinational loops in the scan-capture view, unscanned flip-flops,
@@ -90,7 +90,7 @@ class NetlistContext:
 
 
 # ----------------------------------------------------------------------
-# Structural tier (the validate() subset)
+# Structural tier (the subset flow.validate() runs)
 # ----------------------------------------------------------------------
 @rule(PACK, "NL001", "undriven net", severity=ERROR, structural=True,
       hint="connect a driver or remove the net")
@@ -247,7 +247,7 @@ def check_flip_flop_clocking(ctx: NetlistContext) -> Iterable[Diagnostic]:
     Unconnected clock pins are already NL004 findings; this rule flags
     clock pins wired to a non-clock net (a data net racing the scan
     capture).  Nets driven by clock-tree buffers are legal, mirroring
-    the historical ``validate`` allowance for synthesised trees.
+    the between-steps audit's allowance for synthesised trees.
     """
     entry = _rule("DFT002")
     circuit = ctx.circuit
@@ -601,7 +601,8 @@ def _rule(rule_id: str) -> Rule:
 
 
 def structural_rules() -> List[Rule]:
-    """The cheap integrity subset ``validate()`` runs between steps."""
+    """The cheap integrity subset :func:`repro.core.flow.validate`
+    runs between flow steps."""
     return [r for r in pack_rules(PACK) if r.structural]
 
 
@@ -623,7 +624,7 @@ def lint_netlist(
         n_chains: Configured fixed chain count (recorded for context).
         nets: Restrict per-net/per-instance rules to this set — the
             post-ECO dirty-set mode.  Whole-design rules still run.
-        structural_only: Run only the ``validate()`` integrity subset.
+        structural_only: Run only the :func:`structural_rules` subset.
 
     Returns:
         The sorted :class:`repro.lint.core.LintReport`.

@@ -2,7 +2,8 @@
 
 Public surface: :class:`Circuit` (the mutable netlist), :class:`Net`,
 :class:`Instance`, combinational-view extraction for DFT reasoning,
-structural-Verilog interchange, and validation.
+and structural-Verilog interchange.  The structural audit lives in
+:mod:`repro.lint.netlist_rules`.
 """
 
 from repro.netlist.circuit import Circuit, ClockDomain
@@ -16,7 +17,6 @@ from repro.netlist.levelize import (
 from repro.netlist.net import PORT, Net, PinRef
 from repro.netlist.simulate import SequentialSimulator
 from repro.netlist.fanout import DrcReport, estimated_load_ff, fix_electrical, fix_fanout, upsize_drivers
-from repro.netlist.validate import ValidationReport, validate
 from repro.netlist.verilog import from_verilog, to_verilog
 
 __all__ = [
@@ -35,9 +35,7 @@ __all__ = [
     "fix_electrical",
     "fix_fanout",
     "upsize_drivers",
-    "ValidationReport",
     "extract_comb_view",
     "from_verilog",
     "to_verilog",
-    "validate",
 ]

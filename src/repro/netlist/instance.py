@@ -18,8 +18,8 @@ class Instance:
         cell: The library cell this instance realises.
         conns: Mapping from library pin name to net name.  Pins may be
             unconnected (absent) transiently during netlist editing, but
-            :mod:`repro.netlist.validate` rejects unconnected pins on a
-            finished netlist.
+            the flow's structural audit (NL004) rejects unconnected
+            pins on a finished netlist.
     """
 
     name: str

@@ -22,8 +22,9 @@ Layering (each module only looks down):
 * :mod:`repro.service.server` — stdlib asyncio HTTP daemon and the
   in-process :class:`~repro.service.server.ServiceThread` harness.
 * :mod:`repro.service.client` — the HTTP client the CLI and tests
-  use; its :meth:`~repro.service.client.ServiceClient.sweep` mirrors
-  ``api.sweep``'s contract over the wire.
+  use; its ``result`` returns the same
+  :class:`~repro.core.resilience.SweepReport` that
+  ``api.sweep_report`` returns in process.
 """
 
 from repro.service.client import ServiceClient, ServiceError

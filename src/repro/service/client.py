@@ -6,13 +6,11 @@ through it.  One ``http.client.HTTPConnection`` per request, matching
 the server's ``Connection: close`` discipline; no sessions, no
 keep-alive, no dependencies.
 
-The headline API is :meth:`ServiceClient.sweep`: it mirrors the
-contract of :func:`repro.api.sweep` — submit, wait, fetch, raise
-:class:`~repro.core.executor.SweepExecutionError` if any cell stayed
-failed, return the circuit's :class:`~repro.core.experiment.ExperimentResult`
-— which is what makes the daemon and the in-process API verifiably
-interchangeable (the service test suite asserts their canonical result
-bytes are equal).
+A sweep is :meth:`ServiceClient.submit`, :meth:`~ServiceClient.wait`
+and :meth:`~ServiceClient.result`: the last returns the job's
+:class:`~repro.core.resilience.SweepReport`, the same report
+:func:`repro.api.sweep_report` returns in process (the service test
+suite asserts their canonical result bytes are equal).
 
 The transport retries transient failures with the engine's own
 deterministic backoff (:class:`~repro.core.resilience.RetryPolicy`):
@@ -31,12 +29,8 @@ import time
 from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import urlsplit
 
-from repro.core.executor import SweepExecutionError
-from repro.core.experiment import ExperimentResult
 from repro.core.resilience import RetryPolicy, SweepReport
 from repro.service.protocol import (
-    JOB_CANCELLED,
-    JOB_FAILED,
     TERMINAL_STATES,
     JobRecord,
     SweepRequest,
@@ -310,43 +304,3 @@ class ServiceClient:
                     f"after {timeout_s:g} s"
                 )
             time.sleep(poll_s)
-
-    # -- api.sweep parity ------------------------------------------------
-    def sweep(self, circuit: str, *, scale: float = 0.05,
-              tp_percents: Optional[Tuple[float, ...]] = None,
-              options: Optional[Dict[str, Any]] = None,
-              jobs: int = 1, retries: int = 2,
-              task_timeout_s: Optional[float] = None,
-              name: Optional[str] = None,
-              trace: bool = False,
-              timeout_s: float = 600.0,
-              poll_s: float = 0.2) -> ExperimentResult:
-        """Run a sweep on the daemon with ``api.sweep`` semantics.
-
-        Submits, waits, fetches, and applies the same failure
-        contract: any cell that stayed failed raises
-        :class:`SweepExecutionError`; otherwise the circuit's
-        :class:`ExperimentResult` comes back, table builders intact.
-        """
-        record = self.submit(SweepRequest(
-            circuit=circuit, scale=scale, tp_percents=tp_percents,
-            options=dict(options or {}), jobs=jobs, retries=retries,
-            task_timeout_s=task_timeout_s, name=name, trace=trace,
-        ))
-        final = self.wait(record.id, timeout_s=timeout_s, poll_s=poll_s)
-        state = final.get("state")
-        if state == JOB_FAILED:
-            raise ServiceError(500, {"error": final.get("error")},
-                               f"job {record.id}")
-        if state == JOB_CANCELLED:
-            raise ServiceError(409, {"error": "job was cancelled"},
-                               f"job {record.id}")
-        report = self.result(record.id)
-        if report.failures:
-            raise SweepExecutionError([
-                (f.name, f.tp_percent,
-                 f.exception or RuntimeError(f.error_message))
-                for f in report.failures
-            ])
-        key = name if name is not None else circuit
-        return report.results[key]

@@ -1,6 +1,7 @@
 """Shared fixtures: the library and small session-cached circuits, the
-``--update-golden`` option of the golden-table regression tests, and
-the Prometheus sample reader the service tests read ``/metrics`` with."""
+``--update-golden`` option of the golden-table regression tests, the
+flow's structural audit as a list of error messages, and the
+Prometheus sample reader the service tests read ``/metrics`` with."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 
 from repro.circuits import s38417_like
 from repro.library import cmos130
+from repro.lint.netlist_rules import lint_netlist
 from repro.netlist import Circuit
 from repro.obs import render_registry
 
@@ -73,6 +75,13 @@ def tiny_pipeline(lib):
                                           "Q": "q2"})
     c.add_output("po", "q2")
     return c
+
+
+def structural_errors(circuit):
+    """Error messages of the structural audit ``core.flow.validate``
+    runs between flow steps (empty for a sound netlist)."""
+    report = lint_netlist(circuit, structural_only=True)
+    return [d.message for d in report.error_diagnostics]
 
 
 _PROM_SAMPLE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})? (\S+)$")

@@ -34,7 +34,7 @@ from repro.core import (
     run_experiment,
 )
 from repro.core import executor as executor_mod
-from repro.core.executor import run_sweeps, run_sweeps_report
+from repro.core.executor import run_sweeps_report
 from repro.core.flow import FlowConfig
 
 #: Cheap-but-real ATPG settings: full flow semantics, bounded search.
@@ -140,19 +140,22 @@ def test_fail_fast_aborts_remaining_cells(tmp_path):
     assert report.successful_cells() == 0
 
 
-def test_run_sweeps_raises_with_backcompat_failures(tmp_path):
+def test_api_sweep_raises_with_failure_triples(tmp_path):
     plan = FaultPlan(faults=(
         FaultSpec(kind="raise", circuit="s38417", tp_percent=1.0,
                   stage="tpi_scan", times=-1),
     ))
     with pytest.raises(SweepExecutionError) as err:
-        run_sweeps(
-            [_experiment("s38417")],
-            _executor(tmp_path, jobs=1, retries=0, chaos=plan),
-        )
-    # The historical contract: (name, tp_percent, exception) triples.
+        api.sweep("s38417", scale=SCALE, tp_percents=(0.0, 1.0),
+                  cache_dir=str(tmp_path / "cache"), retries=0,
+                  chaos=plan, atpg=FAST_ATPG)
+    # The contract: (name, tp_percent, exception) triples.
     assert [(n, p, type(e).__name__) for n, p, e in err.value.failures] \
         == [("s38417", 1.0, "InjectedFault")]
+    assert str(err.value) == (
+        "1 sweep level(s) failed (s38417 @ 1%: InjectedFault('chaos: "
+        "injected failure in tpi_scan for s38417@1% (attempt 0)')); "
+        "completed levels are cached and will be reused on re-run")
 
 
 # ----------------------------------------------------------------------

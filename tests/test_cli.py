@@ -69,6 +69,49 @@ def test_degraded_sweep_prints_failures_and_exits_3(tmp_path, capsys):
     assert "journal" in out
 
 
+def test_sweep_with_every_cell_failed_exits_3(tmp_path, capsys):
+    from repro.chaos import FaultPlan, FaultSpec
+
+    plan_path = tmp_path / "plan.json"
+    FaultPlan(faults=(
+        FaultSpec(kind="raise", circuit="*", stage="tpi_scan", times=-1),
+    )).save(plan_path)
+    rc = main(["sweep", "--circuit", "s38417", "--scale", "0.005",
+               "--tp-percents", "0,1", "--retries", "0",
+               "--chaos", str(plan_path)])
+    assert rc == 3
+    out = capsys.readouterr().out
+    # No baseline cell, so no tables: a note, then the failure table.
+    assert "Table 1" not in out
+    assert "s38417: no cell finished" in out
+    assert "FAILED cells (2" in out
+    assert out.count("InjectedFault") == 2
+
+
+def test_result_of_a_job_whose_every_cell_failed_exits_3(monkeypatch,
+                                                         capsys):
+    from repro.core import ExperimentResult, SweepReport, TaskFailure
+    from repro.service import ServiceClient
+
+    report = SweepReport(
+        results={"s38417": ExperimentResult(name="s38417", runs={})},
+        failures=tuple(
+            TaskFailure(name="s38417", tp_percent=pct, attempts=1,
+                        error_type="InjectedFault", error_message="boom")
+            for pct in (0.0, 1.0)),
+        cache_misses=2,
+    )
+    monkeypatch.setattr(ServiceClient, "result",
+                        lambda self, job_id: report)
+    rc = main(["result", "j0", "--url", "http://127.0.0.1:9"])
+    assert rc == 3
+    out = capsys.readouterr().out
+    assert "Table 1" not in out
+    assert "s38417: no cell finished" in out
+    assert "[service] cache hits=0 misses=2" in out
+    assert "FAILED cells (2" in out
+
+
 def test_sweep_resume_completes_after_chaos(tmp_path, capsys):
     from repro.chaos import FaultPlan, FaultSpec
 

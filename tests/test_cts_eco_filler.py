@@ -11,7 +11,6 @@ from repro.layout import (
     insert_fillers,
     synthesize_all_clock_trees,
 )
-from repro.netlist import validate
 
 
 @pytest.fixture()
@@ -36,7 +35,6 @@ def test_cts_rewires_every_ff(placed, lib):
         leaf_net = tree.sink_leaf[name]
         clk_pin = c.instances[name].cell.clock_pin
         assert c.instances[name].conns[clk_pin] == leaf_net
-    assert validate(c).ok is False or True  # buffers unplaced is fine
     # The root buffer is driven from the clock port.
     root_candidates = [
         b for b in tree.buffers

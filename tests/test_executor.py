@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -21,17 +22,15 @@ from repro.circuits import s38417_like
 from repro.core import (
     ExecutorConfig,
     ExperimentConfig,
+    ExperimentResult,
     FlowConfig,
     FlowSummary,
     ResultCache,
-    SweepExecutionError,
     circuit_structural_hash,
     config_fingerprint,
     flow_cache_key,
     run_experiment,
     run_flow,
-    run_sweep,
-    run_sweeps,
     run_sweeps_report,
     summarize,
 )
@@ -57,6 +56,14 @@ def small_experiment(name: str = "s38417") -> ExperimentConfig:
     )
 
 
+def sweep(config: ExperimentConfig,
+          executor: ExecutorConfig) -> ExperimentResult:
+    """One circuit's sweep through the executor; every cell finishes."""
+    report = run_sweeps_report([config], executor)
+    assert report.ok, report.failures
+    return report.results[config.name]
+
+
 def table_dicts(result):
     return {
         "table1": result.table1_rows(),
@@ -79,7 +86,7 @@ def sweep_cache_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def parallel_result(sweep_cache_dir):
     """The same sweep through the executor: 4 workers, cold cache."""
-    return run_sweep(
+    return sweep(
         small_experiment(),
         ExecutorConfig(jobs=4, cache_dir=sweep_cache_dir),
     )
@@ -88,7 +95,7 @@ def parallel_result(sweep_cache_dir):
 @pytest.fixture(scope="module")
 def warm_result(parallel_result, sweep_cache_dir):
     """Second invocation against the now-warm cache."""
-    return run_sweep(
+    return sweep(
         small_experiment(),
         ExecutorConfig(jobs=4, cache_dir=sweep_cache_dir),
     )
@@ -209,6 +216,27 @@ def test_cache_key_covers_circuit_config_and_mode():
     key = flow_cache_key(circuit, config, lib)
     assert key == flow_cache_key(s38417_like(scale=SCALE), config, lib)
     assert key != flow_cache_key(circuit, FlowConfig(tp_percent=2.0), lib)
+
+
+def test_plan_builds_the_circuit_once_per_experiment():
+    calls = []
+
+    def factory():
+        calls.append(None)
+        return s38417_like(scale=SCALE)
+
+    levels = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+    flow = FlowConfig(atpg=FAST_ATPG)
+    tasks = executor_mod._plan_levels(
+        ExperimentConfig(name="s38417", circuit_factory=factory,
+                         tp_percents=levels, flow=flow),
+        ExecutorConfig())
+    assert len(calls) == 1
+    lib = cmos130()
+    assert [t.cache_key for t in tasks] == [
+        flow_cache_key(factory(), replace(flow, tp_percent=pct), lib)
+        for pct in levels
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -357,13 +385,13 @@ def test_failed_levels_resume_from_cache(tmp_path, monkeypatch):
         return real_run_flow(circuit, library, flow_config)
 
     monkeypatch.setattr(executor_mod, "run_flow", failing_run_flow)
-    with pytest.raises(SweepExecutionError) as excinfo:
-        run_sweep(config, ExecutorConfig(jobs=1, cache_dir=cache_dir))
-    assert [(n, p) for n, p, _ in excinfo.value.failures] == [("s38417", 2.0)]
+    report = run_sweeps_report(
+        [config], ExecutorConfig(jobs=1, cache_dir=cache_dir))
+    assert report.failed_cells() == (("s38417", 2.0),)
 
     # The healthy levels were cached before the failure surfaced ...
     monkeypatch.setattr(executor_mod, "run_flow", real_run_flow)
-    result = run_sweep(config, ExecutorConfig(jobs=1, cache_dir=cache_dir))
+    result = sweep(config, ExecutorConfig(jobs=1, cache_dir=cache_dir))
     assert result.runs[0.0].from_cache and result.runs[4.0].from_cache
     # ... and only the failed level ran fresh on the retry.
     assert not result.runs[2.0].from_cache
@@ -401,7 +429,7 @@ def test_unpicklable_factory_fails_with_pointed_message():
         flow=FlowConfig(atpg=FAST_ATPG, run_layout_phase=False),
     )
     with pytest.raises(TypeError, match="functools.partial"):
-        run_sweep(config, ExecutorConfig(jobs=2))
+        run_sweeps_report([config], ExecutorConfig(jobs=2))
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +445,9 @@ def test_run_sweeps_fans_out_whole_circuits():
             tp_percents=(0.0, 2.0),
             flow=flow,
         ))
-    results = run_sweeps(configs, ExecutorConfig(jobs=4))
+    report = run_sweeps_report(configs, ExecutorConfig(jobs=4))
+    assert report.ok, report.failures
+    results = report.results
     assert sorted(results) == ["tiny_a", "tiny_b"]
     for result in results.values():
         assert sorted(result.runs) == [0.0, 2.0]

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.netlist import Circuit, validate
+from repro.core.flow import validate
+from repro.lint import LintError
+from repro.netlist import Circuit
 from repro.netlist.net import PORT
+from tests.conftest import structural_errors
 
 
 def _healthy(lib):
@@ -16,7 +19,7 @@ def _healthy(lib):
     c.add_net("q")
     c.add_instance("ff", lib["DFF_X1"], {"D": "n1", "CLK": "clk", "Q": "q"})
     c.add_output("y", "q")
-    assert validate(c).ok
+    assert not structural_errors(c)
     return c
 
 
@@ -24,40 +27,38 @@ def test_stale_driver_backreference_detected(lib):
     c = _healthy(lib)
     c.nets["n1"].driver = ("g", "A")  # wrong pin recorded
     assert any("back-reference" in e or "driven" in e
-               for e in validate(c).errors)
+               for e in structural_errors(c))
 
 
 def test_stale_sink_backreference_detected(lib):
     c = _healthy(lib)
     c.nets["a"].sinks.append(("ff", "D"))  # phantom sink
-    report = validate(c)
-    assert not report.ok
+    assert structural_errors(c)
 
 
 def test_missing_driver_detected(lib):
     c = _healthy(lib)
     c.nets["n1"].driver = None
-    assert any("no driver" in e for e in validate(c).errors)
+    assert any("no driver" in e for e in structural_errors(c))
 
 
 def test_ghost_instance_detected(lib):
     c = _healthy(lib)
     del c.instances["g"]
-    report = validate(c)
-    assert any("missing instance" in e for e in report.errors)
+    assert any("missing instance" in e for e in structural_errors(c))
 
 
 def test_output_port_corruption_detected(lib):
     c = _healthy(lib)
     c.nets["q"].sinks.remove((PORT, "y"))
-    assert any("not a sink" in e for e in validate(c).errors)
+    assert any("not a sink" in e for e in structural_errors(c))
 
 
 def test_raise_on_error(lib):
     c = _healthy(lib)
     c.nets["n1"].driver = None
-    with pytest.raises(ValueError, match="validation failed"):
-        validate(c).raise_on_error()
+    with pytest.raises(LintError, match="^netlist validation failed: "):
+        validate(c)
 
 
 def test_flow_validation_catches_corruption(lib):

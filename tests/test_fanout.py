@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.netlist import Circuit, validate
+from repro.netlist import Circuit
+from tests.conftest import structural_errors
 from repro.netlist.fanout import (
     estimated_load_ff,
     fix_electrical,
@@ -32,7 +33,7 @@ def test_fix_fanout_bounds_all_nets(lib):
     assert report.buffers_added >= 5
     for name, net in c.nets.items():
         assert len(net.sinks) <= 8, f"net {name} still has {len(net.sinks)}"
-    assert validate(c).ok
+    assert not structural_errors(c)
 
 
 def test_fix_fanout_preserves_function(lib):
@@ -81,7 +82,7 @@ def test_fix_electrical_combined(lib, small_circuit_mutable):
     insert_scan(c, lib, max_chain_length=50)
     report = fix_electrical(c, lib)
     assert report.buffers_added >= 0
-    assert validate(c).ok
+    assert not structural_errors(c)
     clock_nets = {d.net for d in c.clocks}
     for name, net in c.nets.items():
         if name in clock_nets:

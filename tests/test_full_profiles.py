@@ -9,7 +9,8 @@ exercised by the benchmarks with ``REPRO_BENCH_SCALE=1.0``, not here.
 import pytest
 
 from repro.circuits import control_core, dsp_core_p26909, s38417_like
-from repro.netlist import extract_comb_view, validate
+from repro.netlist import extract_comb_view
+from tests.conftest import structural_errors
 
 
 @pytest.mark.parametrize("factory,ffs,tolerance", [
@@ -23,8 +24,8 @@ def test_full_scale_flip_flop_counts(factory, ffs, tolerance):
     # Percent-of-FF budgets from the paper resolve to whole TSFFs.
     one_percent = round(0.01 * circuit.num_flip_flops)
     assert one_percent >= 16 * 0.9
-    report = validate(circuit)
-    assert report.ok, report.errors[:3]
+    errors = structural_errors(circuit)
+    assert not errors, errors[:3]
 
 
 def test_full_scale_s38417_interface():
@@ -41,4 +42,4 @@ def test_full_scale_p26909_structure():
     circuit = dsp_core_p26909(scale=1.0)
     assert circuit.num_flip_flops >= 11168
     assert circuit.clock_period_ps("clk") == 7143.0  # 140 MHz target
-    assert validate(circuit).ok
+    assert not structural_errors(circuit)

@@ -10,7 +10,8 @@ from repro.circuits import (
     generate,
     s38417_like,
 )
-from repro.netlist import extract_comb_view, validate
+from repro.lint.netlist_rules import lint_netlist
+from repro.netlist import extract_comb_view
 
 
 def test_deterministic_generation(lib):
@@ -40,9 +41,9 @@ def test_profiles_match_published_interfaces(lib):
 def test_generated_circuits_validate(lib):
     for factory in (s38417_like, control_core, dsp_core_p26909):
         c = factory(scale=0.02)
-        report = validate(c)
-        assert report.ok, report.errors[:3]
-        assert not report.warnings  # no dangling nets
+        report = lint_netlist(c, structural_only=True)
+        assert report.ok, report.format_text()
+        assert not report.warning_diagnostics  # no dangling nets
 
 
 def test_depth_respects_target(lib):

@@ -8,8 +8,9 @@ from repro.core import flow as flow_mod
 from repro.core.flow import FlowConfig, run_flow
 from repro.lint import LintError
 from repro.lint.netlist_rules import lint_netlist, structural_rules
-from repro.netlist import Circuit, validate
+from repro.netlist import Circuit
 from repro.scan import insert_scan
+from tests.conftest import structural_errors
 
 
 def _rule_ids(report):
@@ -66,10 +67,10 @@ def test_scan_chain_cut_detected(lib, small_circuit_mutable):
     inst = circuit.instances[victim]
     ti = inst.cell.sequential.scan_in
     # Rewire the TI pin back to the chain head's input: structurally
-    # valid (validate() passes) but the shift path is broken.
+    # valid (flow.validate() passes) but the shift path is broken.
     circuit.disconnect(victim, ti)
     circuit.connect(victim, ti, chains.scan_in_ports[0])
-    assert validate(circuit).ok
+    assert not structural_errors(circuit)
     report = lint_netlist(circuit, chains=chains)
     assert "DFT004" in _rule_ids(report)
     msg = next(d for d in report.diagnostics if d.rule_id == "DFT004")
@@ -142,30 +143,32 @@ def test_dirty_set_scoping_limits_structural_findings(lib):
 
 
 # ---------------------------------------------------------------------------
-# validate() facade back-compat
+# The flow's between-steps structural audit (core.flow.validate)
 
 
-def test_validate_reports_diagnostics_and_strings(lib):
+def test_validate_raises_lint_error_with_rule_ids(lib):
     c = Circuit("broken")
     c.add_net("floating")
-    report = validate(c)
-    assert not report.ok
-    assert any("no driver" in e for e in report.errors)
-    assert isinstance(report.errors[0], str)
-    assert report.diagnostics[0].rule_id == "NL001"
-    with pytest.raises(ValueError, match="validation failed"):
-        report.raise_on_error()
     with pytest.raises(LintError) as excinfo:
-        report.raise_on_error()
-    assert "[NL001]" in str(excinfo.value)
+        flow_mod.validate(c)
+    assert str(excinfo.value) == ("netlist validation failed: 1 error(s): "
+                                  "[NL001] net 'floating' has no driver")
+    assert excinfo.value.report.diagnostics[0].rule_id == "NL001"
 
 
-def test_validate_runs_only_structural_rules(lib):
+def test_validate_runs_only_structural_rules(lib, monkeypatch):
     # The between-steps audit must stay cheap: no chain walks, no
     # loop detection (run_flow's lint gates own those).
-    report = validate(_loop_circuit(lib)).report
+    reports = []
+
+    def spy(circuit, **kwargs):
+        reports.append(lint_netlist(circuit, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(flow_mod, "lint_netlist", spy)
+    flow_mod.validate(_loop_circuit(lib))  # a loop is structurally sound
     structural_ids = {r.id for r in structural_rules()}
-    assert set(report.rule_seconds) == structural_ids
+    assert set(reports[0].rule_seconds) == structural_ids
     assert "DFT001" not in structural_ids
 
 

@@ -28,9 +28,10 @@ from repro.core import (
     FlowConfig,
     FlowSummary,
     STAGE_KEYS,
+    SweepReport,
     format_stage_seconds,
     run_flow,
-    run_sweep,
+    run_sweeps_report,
 )
 from repro.library import cmos130
 from repro.obs.tracer import Span, Trace
@@ -47,6 +48,14 @@ def small_experiment() -> ExperimentConfig:
         tp_percents=(0.0, 2.0),
         flow=FlowConfig(atpg=FAST_ATPG, run_layout_phase=False),
     )
+
+
+def small_sweep(**executor) -> SweepReport:
+    """The small sweep, inline; every cell must finish."""
+    report = run_sweeps_report([small_experiment()],
+                               ExecutorConfig(jobs=1, **executor))
+    assert report.ok, report.failures
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -254,8 +263,7 @@ def test_tracing_does_not_change_results():
 # ----------------------------------------------------------------------
 def test_traced_sweep_ships_worker_traces_and_parent_spans():
     with obs.tracing(label="sweep") as tracer:
-        result = run_sweep(small_experiment(),
-                           ExecutorConfig(jobs=1, trace=True))
+        result = small_sweep(trace=True).results["s38417"]
     sched = tracer.trace()
     for run in result.runs.values():
         assert run.trace is not None
@@ -271,7 +279,7 @@ def test_traced_sweep_ships_worker_traces_and_parent_spans():
 
 
 def test_untraced_sweep_ships_no_traces():
-    result = run_sweep(small_experiment(), ExecutorConfig(jobs=1))
+    result = small_sweep().results["s38417"]
     assert all(run.trace is None for run in result.runs.values())
 
 
@@ -283,12 +291,10 @@ def test_traced_sweep_hits_untraced_cache(tmp_path):
     epoch would be stale) but keep their recorded stage timings.
     """
     cache_dir = str(tmp_path / "cache")
-    run_sweep(small_experiment(),
-              ExecutorConfig(jobs=1, cache_dir=cache_dir))
+    small_sweep(cache_dir=cache_dir)
     with obs.tracing(label="warm") as tracer:
-        warm = run_sweep(small_experiment(),
-                         ExecutorConfig(jobs=1, cache_dir=cache_dir,
-                                        trace=True))
+        report = small_sweep(cache_dir=cache_dir, trace=True)
+    warm = report.results["s38417"]
     assert all(run.from_cache for run in warm.runs.values())
     assert all(run.trace is None for run in warm.runs.values())
     for run in warm.runs.values():
@@ -296,9 +302,9 @@ def test_traced_sweep_hits_untraced_cache(tmp_path):
         eff = run.effective_stage_seconds()
         assert eff == run.cached_stage_seconds
         assert sum(eff.values()) > 0.0
+    assert report.cache_hits == len(warm.runs)
+    assert report.cache_misses == 0
     sched = tracer.trace()
-    assert sched.counters["cache_hits"] == len(warm.runs)
-    assert sched.counters["cache_misses"] == 0.0
     assert any(s.name.startswith("cache_hit:") for s in sched.spans)
     table = format_stage_seconds(warm)
     assert "cached" in table and "yes" in table and "atpg" in table

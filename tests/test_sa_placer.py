@@ -19,7 +19,7 @@ from repro.core import (
     ExperimentConfig,
     FlowConfig,
     run_experiment,
-    run_sweep,
+    run_sweeps_report,
 )
 from repro.layout import PLACERS, build_floorplan, placement_seed
 
@@ -128,10 +128,12 @@ def sa_serial_result():
 @pytest.fixture(scope="module")
 def sa_parallel_result(tmp_path_factory):
     cache_dir = str(tmp_path_factory.mktemp("sa_sweep_cache"))
-    return run_sweep(
-        sa_experiment(),
+    report = run_sweeps_report(
+        [sa_experiment()],
         ExecutorConfig(jobs=2, cache_dir=cache_dir),
     )
+    assert report.ok, report.failures
+    return report.results["s38417"]
 
 
 def test_sa_sweep_parallel_bit_identical_to_serial(sa_serial_result,

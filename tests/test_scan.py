@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuits import control_core
-from repro.netlist import validate
+from tests.conftest import structural_errors
 from repro.scan import (
     SCAN_ENABLE,
     TP_ENABLE,
@@ -32,7 +32,7 @@ def test_insert_scan_replaces_dffs(scanned):
     for inst in c.instances.values():
         if inst.is_sequential:
             assert inst.cell.is_scan
-    assert validate(c).ok
+    assert not structural_errors(c)
 
 
 def test_chains_balanced_and_bounded(scanned):
@@ -86,7 +86,7 @@ def test_tpi_cells_get_control_nets(lib, small_circuit_mutable):
         assert inst.conns["TE"] == SCAN_ENABLE
         assert inst.conns["TI"] is not None
     assert tsff_flush_paths(c) == [i.name for i in tsffs]
-    assert validate(c).ok
+    assert not structural_errors(c)
 
 
 def test_restitch_rejects_membership_changes(scanned):
@@ -126,7 +126,7 @@ def test_reorder_chains_end_to_end(scanned, lib):
     scan_ins = {i: (0.0, 0.0) for i in range(config.n_chains)}
     report = reorder_chains(c, config, positions, scan_ins, lib)
     assert report.wirelength_after_um <= report.wirelength_before_um
-    assert validate(c).ok
+    assert not structural_errors(c)
     # Chains still shift correctly after the rewire.
     stimulus = [1, 0, 0, 1, 1]
     assert simulate_shift(c, config, stimulus, chain=0) == stimulus

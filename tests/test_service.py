@@ -323,19 +323,6 @@ def test_cancel_terminal_job_is_noop(client):
 
 
 # ----------------------------------------------------------------------
-# client.sweep <-> api.sweep interchangeability
-# ----------------------------------------------------------------------
-def test_client_sweep_mirrors_api_sweep_contract(client):
-    served = client.sweep("s38417", scale=SCALE,
-                          tp_percents=(0.0, 2.0), options=OPTIONS,
-                          timeout_s=300)
-    local = api.sweep("s38417", scale=SCALE, tp_percents=(0.0, 2.0),
-                      **OPTIONS)
-    assert (canonical_result_bytes(served)
-            == canonical_result_bytes(local))
-
-
-# ----------------------------------------------------------------------
 # HTTP error contract
 # ----------------------------------------------------------------------
 def test_unknown_circuit_is_rejected_with_400(client):
