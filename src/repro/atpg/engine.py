@@ -25,7 +25,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro import obs
-from repro.atpg.compaction import pack_block, reverse_order_compaction
+from repro.atpg.compaction import (
+    first_detectors,
+    pack_block,
+    reverse_order_compaction,
+    unpack_block,
+)
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import Fault, FaultList, FaultStatus, build_fault_list
 from repro.atpg.podem import PodemEngine
@@ -146,7 +151,6 @@ def run_atpg(
     sim = BitSimulator(view)
     fsim = FaultSimulator(sim)
     inputs = list(view.input_nets)
-    n_inputs = len(inputs)
 
     patterns: List[int] = []
     active = [
@@ -201,18 +205,20 @@ def run_atpg(
     )
 
 
-def _words_to_patterns(inputs: List[str], words: Dict[str, int],
-                       count: int) -> List[int]:
-    """Transpose per-net block words into integer-encoded patterns."""
-    patterns = [0] * count
-    for j, net in enumerate(inputs):
-        word = words[net]
-        if not word:
-            continue
-        for i in range(count):
-            if (word >> i) & 1:
-                patterns[i] |= 1 << j
-    return patterns
+def _keep_first_detectors(
+    sim: BitSimulator,
+    words: Dict[str, int],
+    detections: Dict[Fault, int],
+    patterns: List[int],
+) -> int:
+    """Append the first detecting pattern of each detected fault.
+
+    Patterns are appended in bit order; returns how many were kept.
+    """
+    credited = first_detectors(detections, sim.mask)
+    kept = unpack_block(sim.view.input_nets, words, credited)
+    patterns.extend(kept)
+    return len(kept)
 
 
 def _random_phase(
@@ -225,7 +231,6 @@ def _random_phase(
     config: AtpgConfig,
 ) -> int:
     """Random-pattern phase with fault dropping; returns kept count."""
-    inputs = list(sim.view.input_nets)
     kept_total = 0
     remaining = set(active)
     for _ in range(config.random_blocks):
@@ -235,15 +240,8 @@ def _random_phase(
         detections = fsim.run_block(words, remaining)
         if not detections:
             continue
-        # Credit each fault to its first detecting pattern.
-        useful_bits: Dict[int, List[Fault]] = {}
-        for fault, word in detections.items():
-            first = (word & -word).bit_length() - 1
-            useful_bits.setdefault(first, []).append(fault)
-        block_patterns = _words_to_patterns(inputs, words, sim.width)
-        for bit in sorted(useful_bits):
-            patterns.append(block_patterns[bit])
-            kept_total += 1
+        kept_total += _keep_first_detectors(sim, words, detections,
+                                            patterns)
         fault_list.mark_many(detections, FaultStatus.DETECTED)
         remaining.difference_update(detections)
         # Equivalence classes may have retired other representatives.
@@ -267,7 +265,6 @@ def _abort_recovery_phase(
 
     Returns the number of recovered (now detected) fault classes.
     """
-    inputs = list(sim.view.input_nets)
     remaining = {
         rep
         for rep in fault_list.classes()
@@ -282,13 +279,7 @@ def _abort_recovery_phase(
         detections = fsim.run_block(words, remaining)
         if not detections:
             continue
-        useful_bits: Dict[int, List[Fault]] = {}
-        for fault, word in detections.items():
-            first = (word & -word).bit_length() - 1
-            useful_bits.setdefault(first, []).append(fault)
-        block_patterns = _words_to_patterns(inputs, words, sim.width)
-        for bit in sorted(useful_bits):
-            patterns.append(block_patterns[bit])
+        _keep_first_detectors(sim, words, detections, patterns)
         fault_list.mark_many(detections, FaultStatus.DETECTED)
         recovered += len(detections)
         remaining.difference_update(detections)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.levelize import CombView
@@ -36,9 +36,13 @@ class FaultStatus(Enum):
     ABORTED = "aborted"          # ATPG gave up (backtrack limit)
 
 
-@dataclass(frozen=True)
-class Fault:
+class Fault(NamedTuple):
     """One single stuck-at fault.
+
+    A named tuple, so hashing and equality run in C.  Its hash,
+    ``hash((net, sink, value))``, sets the iteration order of the fault
+    sets that ATPG walks, and with it the kept patterns, so it must not
+    change (``tests/test_fault_sim.py`` pins it).
 
     Attributes:
         net: The faulted net.

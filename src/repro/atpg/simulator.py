@@ -6,13 +6,16 @@ operations, so a single call simulates ``width`` patterns through the
 entire circuit.  Patterns are packed one-per-bit into Python integers,
 which support arbitrary widths — 64 by default, matching classic PPSFP.
 
-Per-node compiled evaluators are also exposed, each reading the value
-list directly; the fault simulator runs them in place on a copy of the
-good values to sensitise paths and propagate stem flips.
+Per-node evaluators are also exposed, each reading the value list
+directly; the fault simulator runs them in place on a copy of the good
+values to sensitise paths and propagate stem flips.  Their source is
+compiled once per cell function, not once per node: each node binds
+its net indices and the width mask to that function's compiled factory.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Callable, Dict, List, Sequence
 
@@ -54,6 +57,28 @@ def render_expr(expr: LogicExpr, pin_code: Dict[str, str],
         b = render_expr(expr.b, pin_code, mask_name)
         return f"(({a} & ~{s}) | ({b} & {s}))"
     raise TypeError(f"unsupported expression node {type(expr).__name__}")
+
+
+@functools.lru_cache(maxsize=None)
+def _evaluator_factory(template: str, arity: int
+                       ) -> Callable[..., Callable[[List[int]], int]]:
+    """Compile one cell function into a factory of node evaluators.
+
+    Args:
+        template: The function rendered by :func:`render_expr`, reading
+            its pins as ``v[i0]``, ``v[i1]``, ... and its mask as ``m``.
+        arity: Number of pin parameters ``i0`` .. ``i{arity-1}``.
+
+    Returns:
+        ``bind(m, i0, i1, ...) -> fn(v) -> word``.  The cache is keyed
+        by the source text alone, so it holds one entry per distinct
+        cell function however many views and libraries a process builds.
+    """
+    params = ", ".join(["m"] + [f"i{k}" for k in range(arity)])
+    namespace: Dict[str, object] = {}
+    exec(f"def _bind({params}):\n"  # noqa: S102 - trusted source
+         f"    return lambda v: {template}\n", namespace)
+    return namespace["_bind"]  # type: ignore[return-value]
 
 
 class BitSimulator:
@@ -110,17 +135,19 @@ class BitSimulator:
         return namespace["_sim"]  # type: ignore[return-value]
 
     def _compile_node(self, node: CombNode) -> Callable[[List[int]], int]:
-        """Compile one node into ``fn(v) -> word``.
+        """Bind one node's evaluator ``fn(v) -> word``.
 
         ``v`` is a value list indexed like :meth:`run`'s result; the
-        word is the node's output, masked to the width.
+        word is the node's output, masked to the width.  The cell
+        function's factory is compiled once (:func:`_evaluator_factory`)
+        and bound here to this node's net indices.
         """
-        pin_code = {
-            pin: f"v[{self.net_index[net]}]"
-            for pin, net in node.pin_nets.items()
-        }
-        src = f"lambda v, m={self.mask}: {render_expr(node.expr, pin_code)}"
-        return eval(src)  # noqa: S307 - trusted source
+        nets = list(node.pin_nets.values())
+        template = render_expr(node.expr, {
+            pin: f"v[i{k}]" for k, pin in enumerate(node.pin_nets)
+        })
+        bind = _evaluator_factory(template, len(nets))
+        return bind(self.mask, *(self.net_index[net] for net in nets))
 
     # ------------------------------------------------------------------
     def run(self, input_words: Dict[str, int]) -> List[int]:

@@ -170,8 +170,11 @@ def _print_report(report, service: bool = False) -> int:
               f"misses={report.cache_misses} "
               f"evictions={report.cache_evictions}")
     if report.failures:
-        print(f"\nFAILED cells ({len(report.failures)}; tables above "
-              "have holes at these levels)")
+        if any(result.runs for result in report.results.values()):
+            where = "tables above have holes at these levels"
+        else:
+            where = "every cell failed, so no tables were printed"
+        print(f"\nFAILED cells ({len(report.failures)}; {where})")
         print(format_failures(report.failures))
         return 3
     return 0

@@ -343,9 +343,17 @@ def flow_cache_key(circuit: Circuit, config: FlowConfig,
         library: Cell library; its name and the package version stand
             in for the library contents, which are code-defined.
     """
+    return _level_cache_key(circuit_structural_hash(circuit), config,
+                            library)
+
+
+def _level_cache_key(structural_hash: str, config: FlowConfig,
+                     library: Library) -> str:
+    """:func:`flow_cache_key` from the circuit's structural hash, so a
+    sweep hashes its circuit once for all of its levels."""
     parts = "\n".join([
         f"schema={CACHE_SCHEMA_VERSION}",
-        circuit_structural_hash(circuit),
+        structural_hash,
         config_fingerprint(config),
         f"library={library.name}:{repro.__version__}",
     ])
@@ -702,9 +710,9 @@ def _plan_levels(config: ExperimentConfig,
                  executor: ExecutorConfig) -> List[_LevelTask]:
     """Expand one experiment into per-level tasks with cache keys.
 
-    The circuit is built once *in the parent* purely to compute its
-    structural hash (every level starts from the same factory, and
-    factories are deterministic, so each worker's fresh build hashes
+    The circuit is built and hashed once *in the parent*, for all of
+    its levels (every level starts from the same factory, and factories
+    are deterministic, so each worker's fresh build hashes
     identically); the built netlist is never pickled.  The chaos plan
     (if any) rides on the task spec but never enters the cache key: a
     chaos run and a clean run of the same configs share keys, which is
@@ -712,7 +720,7 @@ def _plan_levels(config: ExperimentConfig,
     sweep.
     """
     library = config.library or cmos130()
-    circuit = config.circuit_factory()
+    structural_hash = circuit_structural_hash(config.circuit_factory())
     tasks = []
     for pct in config.tp_percents:
         flow = replace(config.flow, tp_percent=pct)
@@ -722,7 +730,7 @@ def _plan_levels(config: ExperimentConfig,
             circuit_factory=config.circuit_factory,
             flow=flow,
             library=config.library,
-            cache_key=flow_cache_key(circuit, flow, library),
+            cache_key=_level_cache_key(structural_hash, flow, library),
             trace=executor.trace,
             chaos=executor.chaos,
         ))

@@ -64,6 +64,7 @@ WALLCLOCK_ALLOWED = (
 #: bodies must stay pure functions of their inputs.
 CACHE_KEY_FUNCTIONS = frozenset({
     "flow_cache_key",
+    "_level_cache_key",
     "config_fingerprint",
     "circuit_structural_hash",
     "_canonical",

@@ -64,7 +64,8 @@ def test_degraded_sweep_prints_failures_and_exits_3(tmp_path, capsys):
     assert rc == 3
     out = capsys.readouterr().out
     assert "Table 1" in out  # tables render despite the hole
-    assert "FAILED cells (1" in out
+    assert "FAILED cells (1; tables above have holes at these levels)" \
+        in out
     assert "InjectedFault" in out
     assert "journal" in out
 
@@ -85,6 +86,10 @@ def test_sweep_with_every_cell_failed_exits_3(tmp_path, capsys):
     assert "Table 1" not in out
     assert "s38417: no cell finished" in out
     assert "FAILED cells (2" in out
+    # No circuit printed tables, so none can "have holes".
+    assert "tables above" not in out
+    assert "FAILED cells (2; every cell failed, so no tables were printed)" \
+        in out
     assert out.count("InjectedFault") == 2
 
 
@@ -109,7 +114,7 @@ def test_result_of_a_job_whose_every_cell_failed_exits_3(monkeypatch,
     assert "Table 1" not in out
     assert "s38417: no cell finished" in out
     assert "[service] cache hits=0 misses=2" in out
-    assert "FAILED cells (2" in out
+    assert "FAILED cells (2; every cell failed" in out
 
 
 def test_sweep_resume_completes_after_chaos(tmp_path, capsys):

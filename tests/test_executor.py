@@ -239,6 +239,30 @@ def test_plan_builds_the_circuit_once_per_experiment():
     ]
 
 
+def test_plan_hashes_the_circuit_once_per_experiment(monkeypatch):
+    hashed = []
+    structural_hash = executor_mod.circuit_structural_hash
+
+    def spy(circuit):
+        hashed.append(circuit.name)
+        return structural_hash(circuit)
+
+    monkeypatch.setattr(executor_mod, "circuit_structural_hash", spy)
+    factory = functools.partial(s38417_like, scale=SCALE)
+    levels = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+    flow = FlowConfig(atpg=FAST_ATPG)
+    tasks = executor_mod._plan_levels(
+        ExperimentConfig(name="s38417", circuit_factory=factory,
+                         tp_percents=levels, flow=flow),
+        ExecutorConfig())
+    assert len(hashed) == 1
+    lib = cmos130()
+    assert [t.cache_key for t in tasks] == [
+        flow_cache_key(factory(), replace(flow, tp_percent=pct), lib)
+        for pct in levels
+    ]
+
+
 # ----------------------------------------------------------------------
 # ResultCache robustness
 # ----------------------------------------------------------------------

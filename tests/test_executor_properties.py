@@ -9,6 +9,11 @@ Two families:
   its detection sets must equal a naive reference that resimulates the
   whole circuit one fault at a time, one pattern at a time, with the
   fault forced at the site (stem) or at a single sink pin (branch).
+  Reverse-order compaction, which credits each fault to its first
+  detecting pattern from those detection words, must keep exactly the
+  patterns of the per-bit crediting loop it replaced
+  (:func:`tests.test_compaction.reference_compaction`), for pattern
+  counts that leave the oldest block short.
 
 * :func:`~repro.core.executor.config_fingerprint` keys the executor's
   result cache.  The properties: logically equal configs fingerprint
@@ -23,6 +28,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.atpg import AtpgConfig
+from repro.atpg.compaction import reverse_order_compaction
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import build_fault_list
 from repro.atpg.simulator import BitSimulator
@@ -31,6 +37,7 @@ from repro.core import FlowConfig, config_fingerprint
 from repro.library import cmos130
 from repro.netlist import extract_comb_view
 from repro.netlist.net import PORT
+from tests.test_compaction import reference_compaction
 
 
 # ----------------------------------------------------------------------
@@ -135,6 +142,25 @@ def test_ppsfp_equals_naive_single_fault_resimulation(profile, seed,
             f"{fault}: PPSFP {ppsfp_word:0{n_patterns}b} != "
             f"naive {naive_word:0{n_patterns}b}"
         )
+
+
+@given(small_profiles(),
+       st.integers(min_value=0, max_value=2 ** 16),
+       st.integers(min_value=1, max_value=150),
+       st.integers(min_value=0, max_value=2 ** 16))
+@settings(max_examples=10, deadline=None)
+def test_compaction_equals_per_bit_crediting_loop(profile, seed, n_patterns,
+                                                  pattern_seed):
+    circuit = generate(profile, cmos130(), seed=seed)
+    view = extract_comb_view(circuit, "test")
+    fsim = FaultSimulator(BitSimulator(view))
+    rng = random.Random(pattern_seed)
+    patterns = [rng.getrandbits(len(view.input_nets))
+                for _ in range(n_patterns)]
+    targets = build_fault_list(circuit, view).targets()
+
+    kept = reverse_order_compaction(fsim, patterns, targets)
+    assert kept == reference_compaction(fsim, patterns, targets)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,8 @@ The fault simulator is validated against two references:
 
 import heapq
 import random
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
@@ -25,8 +27,27 @@ from repro.atpg import (
 )
 from repro.atpg.compaction import pack_block
 from repro.netlist import Circuit, extract_comb_view
-from repro.netlist.net import PORT
+from repro.netlist.net import PORT, PinRef
 from tests.test_executor_properties import naive_detected
+
+
+@dataclass(frozen=True)
+class DataclassFault:
+    """``Fault`` as the frozen dataclass it was before it became a
+    named tuple: the reference for its hash, ``str`` and ``repr``."""
+
+    net: str
+    sink: Optional[PinRef]
+    value: int
+
+    def __str__(self) -> str:
+        where = self.net if self.sink is None else (
+            f"{self.net}->{self.sink[0]}.{self.sink[1]}"
+        )
+        return f"{where} sa{self.value}"
+
+
+DataclassFault.__qualname__ = "Fault"  # the name its repr prints
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +229,19 @@ def test_fault_list_census(env):
     # Collapsing never crosses scan/capture status boundaries silently.
     for f, rep in flist.representative.items():
         assert flist.status[f] == flist.status[rep]
+
+
+def test_fault_hash_str_and_repr_equal_the_dataclass(env):
+    """Equal hashes keep every set and dict of faults in the order the
+    dataclass gave; ``str`` and ``repr`` reach reports and logs."""
+    flist = env[4]
+    assert any(f.sink is not None for f in flist.faults)
+    for fault in flist.faults:
+        reference = DataclassFault(*fault)
+        assert hash(fault) == hash((fault.net, fault.sink, fault.value))
+        assert hash(fault) == hash(reference)
+        assert str(fault) == str(reference)
+        assert repr(fault) == repr(reference)
 
 
 def test_fault_collapsing_through_inverters(env, lib):

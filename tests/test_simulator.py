@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.atpg import BitSimulator
 from repro.atpg.compaction import pack_block
+from repro.atpg.simulator import _evaluator_factory, render_expr
 from repro.netlist import extract_comb_view
 
 
@@ -35,6 +36,16 @@ def _reference_eval(view, assignment):
         }
         values[node.out_net] = node.expr.eval2(env) & 1
     return values
+
+
+def _reference_node_fn(sim, node):
+    """The per-node ``eval`` each evaluator was compiled with before
+    evaluators were compiled once per cell function."""
+    pin_code = {
+        pin: f"v[{sim.net_index[net]}]"
+        for pin, net in node.pin_nets.items()
+    }
+    return eval(f"lambda v, m={sim.mask}: {render_expr(node.expr, pin_code)}")
 
 
 def test_compiled_matches_interpreted(sim):
@@ -105,3 +116,38 @@ def test_constants_pin_their_values(sim, seed):
         idx = sim.net_index[net]
         expected = sim.mask if const else 0
         assert values[idx] == expected
+
+
+@pytest.mark.parametrize("width", [64, 5])
+def test_node_evaluators_equal_per_node_eval(sim, width):
+    sim = BitSimulator(sim.view, width=width)
+    rng = random.Random(width)
+    vectors = [[rng.getrandbits(width) for _ in range(sim.n_nets)]
+               for _ in range(4)]
+    for pos, node in enumerate(sim.view.nodes):
+        reference = _reference_node_fn(sim, node)
+        for v in vectors:
+            assert sim.node_fns[pos](v) == reference(v), node.inst.name
+
+
+def test_evaluator_factories_are_shared_per_cell_function(sim):
+    """One compiled factory per distinct cell function, not per node,
+    view, width or library instance."""
+    from repro.circuits import control_core
+    from repro.library import cmos130
+
+    # The second circuit is built on a library instance of its own.
+    other = control_core(scale=0.015, library=cmos130())
+    views = [sim.view, extract_comb_view(other, "test")]
+    _evaluator_factory.cache_clear()
+    for view in views:
+        BitSimulator(view)
+    functions = {
+        render_expr(node.expr, {pin: pin for pin in node.pin_nets})
+        for view in views for node in view.nodes
+    }
+    entries = _evaluator_factory.cache_info().currsize
+    assert 0 < entries <= len(functions)
+    assert entries < sum(len(view.nodes) for view in views)
+    BitSimulator(views[0], width=16)
+    assert _evaluator_factory.cache_info().currsize == entries
